@@ -61,6 +61,9 @@ WEIGHT_SUM_TOL = 1e-10
 # Tolerance for deciding whether a lattice point satisfies a constraint;
 # strict enough that no type one lattice step away is ever misclassified.
 LATTICE_TOL = 1e-12
+# Rows per block of the type table: keeps its temporaries to a few hundred KiB,
+# so enumeration leaves the peak resident set unchanged.
+_BLOCK_ROWS = 1 << 12
 
 
 class EnumerationCapError(ValueError):
@@ -182,43 +185,55 @@ def type_space_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def enumerate_types(alphabet: Alphabet | int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[TypeClass]:
-    """Stream every type of size ``n`` exactly once, in lexicographic order.
+def _type_table(k: int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[np.ndarray]:
+    """Every type of size ``n`` on k symbols as rows of counts, in
+    lexicographic order and in blocks of at most ``_BLOCK_ROWS`` rows.
 
-    Memory stays O(k) per yielded type.  Refuses upfront when the type
-    count C(n+k-1, k-1) exceeds ``cap``.
+    Stars and bars: the lexicographic (k-1)-subsets of n+k-1 slots are the
+    bar positions, and the counts are the gaps between bars.  Refuses
+    upfront, before any allocation, when C(n+k-1, k-1) exceeds ``cap``.
     """
-    alphabet = _as_alphabet(alphabet)
-    k = alphabet.size
     if n < 1:
         raise ValueError(f"type size must be >= 1, got {n}")
     count = type_space_size(k, n)
     if count > cap:
         raise EnumerationCapError(f"{count} types of size {n} on {k} symbols exceed the cap of {cap}")
+    bars = itertools.combinations(range(n + k - 1), k - 1)
 
-    def gen() -> Iterator[TypeClass]:
-        for counts in _compositions(n, k):
-            yield TypeClass(alphabet, counts)
+    def blocks() -> Iterator[np.ndarray]:
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(bars, _BLOCK_ROWS))
+            inner = np.fromiter(flat, dtype=np.int32).reshape(-1, k - 1)
+            if not len(inner):
+                return
+            yield np.diff(inner, axis=1, prepend=-1, append=n + k - 1) - 1
 
-    return gen()
+    return blocks()
 
 
-def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+def enumerate_types(alphabet: Alphabet | int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[TypeClass]:
+    """Stream every type of size ``n`` exactly once, in lexicographic order.
+
+    Memory stays O(k) per type beyond one block of the type table.  Refuses
+    upfront when the type count C(n+k-1, k-1) exceeds ``cap``.
+    """
+    alphabet = _as_alphabet(alphabet)
+    blocks = _type_table(alphabet.size, n, cap)
+    return (TypeClass(alphabet, row) for block in blocks for row in block.tolist())
+
+
+def _log_probs(counts: np.ndarray, n: int, p: Distribution) -> np.ndarray:
+    """Exact multinomial log-probability of each row of counts under ``p``."""
+    counts = np.asarray(counts, dtype=float)
+    coeff = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    return coeff + (counts * np.log(p.masses)).sum(axis=1)
 
 
 def type_log_prob(t: TypeClass, p: Distribution) -> float:
     """Exact multinomial log-probability of observing type ``t`` under ``p``."""
     if not p.strictly_positive:
         raise ValueError("baseline law must be strictly positive")
-    counts = np.array(t.counts, dtype=float)
-    coeff = gammaln(t.n + 1) - gammaln(counts + 1).sum()
-    return float(coeff + (counts * np.log(p.masses)).sum())
+    return float(_log_probs([t.counts], t.n, p)[0])
 
 
 def sanov_bounds_check(t: TypeClass, p: Distribution, slack_tol: float = 1e-9) -> BoundCheck:
@@ -245,26 +260,36 @@ def _constraint_scale(c: MomentConstraint) -> float:
     return max(1.0, float(np.abs(c.function.table).max()))
 
 
-def type_satisfies(t: TypeClass, c: MomentConstraint) -> bool:
-    """Does the frequency view of ``t`` satisfy the constraint?
+def _means_mask(means: np.ndarray, c: MomentConstraint) -> np.ndarray:
+    """The constraint test on rows of moment values.  Its window test is
+    ``open_window_mask``, the one the samplers use, so both condition on the
+    identical event.
 
     Comparisons carry a 1e-12-scaled tolerance so lattice points are never
     misclassified; window endpoints are excluded (open interval).
     """
-    mean = np.array(t.counts, dtype=float) @ c.function.table / t.n
-    return mean_satisfies(mean, c)
+    if c.epsilon is not None:
+        lo, hi = c.window
+        return open_window_mask(means[:, 0], lo, hi, _constraint_scale(c))
+    tol = LATTICE_TOL * _constraint_scale(c)
+    if c.kind == "halfspace":
+        return means[:, 0] >= float(c.target[0]) - tol
+    return np.all(np.abs(means - c.target) <= tol, axis=1)
+
+
+def _types_mask(counts: np.ndarray, n: int, c: MomentConstraint) -> np.ndarray:
+    """Which rows of counts (types of size n) satisfy the constraint."""
+    return _means_mask(np.asarray(counts, dtype=float) @ c.function.table / n, c)
+
+
+def type_satisfies(t: TypeClass, c: MomentConstraint) -> bool:
+    """Does the frequency view of ``t`` satisfy the constraint?"""
+    return bool(_types_mask([t.counts], t.n, c)[0])
 
 
 def mean_satisfies(mean: np.ndarray | float, c: MomentConstraint) -> bool:
-    """Constraint test on a moment value; shared by oracle and samplers."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if c.epsilon is not None:
-        lo, hi = c.window
-        return bool(open_window_mask(mean[0], lo, hi, _constraint_scale(c)))
-    tol = LATTICE_TOL * _constraint_scale(c)
-    if c.kind == "halfspace":
-        return bool(mean[0] >= float(c.target[0]) - tol)
-    return bool(np.all(np.abs(mean - c.target) <= tol))
+    """Constraint test on one moment value, by the oracle's rule."""
+    return bool(_means_mask(np.atleast_1d(np.asarray(mean, dtype=float))[None, :], c)[0])
 
 
 def conditional_weights(
@@ -284,26 +309,21 @@ def conditional_weights(
         raise ValueError("baseline law must be strictly positive")
     if c.function.alphabet.labels != p.alphabet.labels:
         raise ValueError("constraint and baseline live on different alphabets")
-    types: list[TypeClass] = []
-    log_probs: list[float] = []
-    for t in enumerate_types(p.alphabet, n, cap=cap):
-        if type_satisfies(t, c):
-            types.append(t)
-            log_probs.append(type_log_prob(t, p))
-    if not types:
+    rows = np.concatenate([block[_types_mask(block, n, c)] for block in _type_table(p.alphabet.size, n, cap)])
+    if not len(rows):
         hint = ""
         smallest = _smallest_feasible_n(p.alphabet, c, probe_limit)
         if smallest is not None:
             hint = f"; smallest feasible size is n = {smallest}"
         raise EmptyConstraintError(f"no type of size {n} satisfies the constraint{hint}")
-    log_probs_arr = np.array(log_probs)
-    total = logsumexp(log_probs_arr)
-    weights = np.exp(log_probs_arr - total)
+    log_probs = _log_probs(rows, n, p)
+    total = logsumexp(log_probs)
+    weights = np.exp(log_probs - total)
     weights /= weights.sum()
     return ConditionalWeights(
         constraint=c,
         n=n,
-        types=tuple(types),
+        types=tuple(TypeClass(p.alphabet, counts) for counts in rows.tolist()),
         weights=weights,
         event_log_prob=float(total),
     )
@@ -313,49 +333,53 @@ def _smallest_feasible_n(alphabet: Alphabet, c: MomentConstraint, probe_limit: i
     for n in range(1, probe_limit + 1):
         if type_space_size(alphabet.size, n) > 10**6:
             return None
-        if any(type_satisfies(t, c) for t in enumerate_types(alphabet, n)):
+        if any(_types_mask(block, n, c).any() for block in _type_table(alphabet.size, n)):
             return n
     return None
 
 
 @lru_cache(maxsize=64)
-def _word_count_table(k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """All k^m words with their per-symbol occurrence counts."""
+def _word_classes(k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """All k^m words, the count classes (the types of size m) and each
+    word's class index."""
     words = tuple(itertools.product(range(k), repeat=m))
-    counts = np.zeros((len(words), k), dtype=np.int64)
-    for i, word in enumerate(words):
-        for s in word:
-            counts[i, s] += 1
-    return words, counts
+    classes = np.concatenate(list(_type_table(k, m)))
+    index = {counts: i for i, counts in enumerate(map(tuple, classes.tolist()))}
+    inverse = np.array([index[tuple(map(word.count, range(k)))] for word in words])
+    return words, classes, inverse
 
 
-def _falling_table(counts: tuple[int, ...], m: int) -> np.ndarray:
-    """table[j, c] = falling factorial (n_j)_c for c = 0..m."""
-    k = len(counts)
-    table = np.ones((k, m + 1), dtype=np.int64)
-    for j, nj in enumerate(counts):
-        for cc in range(1, m + 1):
-            table[j, cc] = table[j, cc - 1] * max(nj - cc + 1, 0)
-    return table
+def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -> np.ndarray:
+    """Word masses of the ``weights``-mixture of sampling without
+    replacement from each type (row of counts) of size n.
 
-
-def _hypergeometric_masses(t: TypeClass, m: int) -> np.ndarray:
-    """Mass of every length-m word under sampling without replacement from t."""
-    k = t.alphabet.size
-    _, word_counts = _word_count_table(k, m)
-    denom = math.prod(range(t.n, t.n - m, -1))
-    if t.n**m < 2**62:
-        ff = _falling_table(t.counts, m)
-        numer = ff[np.arange(k)[None, :], word_counts].prod(axis=1)
-        return numer / denom
+    A word's mass prod_j (n_j)_{c_j} / (n)_m depends only on its symbol
+    counts c, so it is computed once per count class, accumulated in type
+    order, and then expanded to the words.
+    """
+    _, classes, inverse = _word_classes(k, m)
+    denom = math.prod(range(n, n - m, -1))
+    total = np.zeros(len(classes))
+    if n**m < 2**62:
+        steps, symbols = np.arange(m), np.arange(k)
+        falling = np.ones((k, m + 1), dtype=np.int64)  # falling[j, c] = (n_j)_c
+        for row, w in zip(np.asarray(rows, dtype=np.int64), weights):
+            np.cumprod(np.maximum(row[:, None] - steps, 0), axis=1, out=falling[:, 1:])
+            total += w * (falling[symbols, classes].prod(axis=1) / denom)
+        return total[inverse]
     # Falling-factorial products overflow int64 at this size: exact big-int path.
-    masses = np.empty(len(word_counts))
-    for i, row in enumerate(word_counts):
-        numer = math.prod(
-            math.prod(range(nj, nj - cj, -1)) for nj, cj in zip(t.counts, row)
-        )
-        masses[i] = numer / denom
-    return masses
+    for row, w in zip(np.asarray(rows).tolist(), weights):
+        masses = [
+            math.prod(math.prod(range(nj, nj - cj, -1)) for nj, cj in zip(row, counts)) / denom
+            for counts in classes.tolist()
+        ]
+        total += w * np.array(masses)
+    return total[inverse]
+
+
+def _word_law(alphabet: Alphabet, m: int, masses: np.ndarray) -> BlockLaw:
+    words = _word_classes(alphabet.size, m)[0]
+    return BlockLaw(alphabet, m, {word: float(mass) for word, mass in zip(words, masses) if mass > 0})
 
 
 def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> BlockLaw:
@@ -371,10 +395,7 @@ def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> Blo
     k = t.alphabet.size
     if k**m > word_cap:
         raise ValueError(f"k^m = {k**m} words exceeds the cap of {word_cap}")
-    words, _ = _word_count_table(k, m)
-    masses = _hypergeometric_masses(t, m)
-    law = {word: float(mass) for word, mass in zip(words, masses) if mass > 0}
-    return BlockLaw(t.alphabet, m, law)
+    return _word_law(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
 
 
 def hypergeometric_tv_check(t: TypeClass, m: int, tol: float = 1e-12) -> TvCheck:
@@ -404,16 +425,12 @@ def conditional_block_law(
 
 def _block_from_weights(weights: ConditionalWeights, m: int) -> BlockLaw:
     alphabet = weights.types[0].alphabet
-    k = alphabet.size
     if m > weights.n:
         raise ValueError(f"block length {m} exceeds the sequence length {weights.n}")
-    words, _ = _word_count_table(k, m)
-    total = np.zeros(len(words))
-    for t, w in zip(weights.types, weights.weights):
-        total += w * _hypergeometric_masses(t, m)
+    rows = [t.counts for t in weights.types]
+    total = _hypergeometric_mixture(alphabet.size, rows, weights.weights, weights.n, m)
     total /= total.sum()
-    law = {word: float(mass) for word, mass in zip(words, total) if mass > 0}
-    return BlockLaw(alphabet, m, law)
+    return _word_law(alphabet, m, total)
 
 
 def convergence_sweep(
@@ -445,9 +462,7 @@ def convergence_sweep(
         block = _block_from_weights(weights, m)
         tv = tv_distance(block, target_block)
         delta = n ** (-1.0 / 3.0)
-        dists = np.array(
-            [np.abs(np.array(t.counts) / t.n - star.masses).sum() for t in weights.types]
-        )
+        dists = np.abs(np.array([t.counts for t in weights.types]) / n - star.masses).sum(axis=1)
         bad_mass = float(weights.weights[dists > delta].sum())
         raw.append((n, tv, delta, bad_mass))
 

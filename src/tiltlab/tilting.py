@@ -323,13 +323,15 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
             step = np.linalg.solve(cov, -residual_vec)
         except np.linalg.LinAlgError:
             step = np.linalg.solve(cov + 1e-12 * np.eye(h.dimension), -residual_vec)
+        # An infinite step (vanishing tilted variance) fails; bisection takes over.
         scale = 1.0
         for _ in range(60):
             cand = lam + scale * step
-            cand_res = moment_map(p, h, cand) - alpha
-            if np.linalg.norm(cand_res) < best:
-                lam, residual_vec, best = cand, cand_res, np.linalg.norm(cand_res)
-                break
+            if np.all(np.isfinite(cand)):
+                cand_res = moment_map(p, h, cand) - alpha
+                if np.linalg.norm(cand_res) < best:
+                    lam, residual_vec, best = cand, cand_res, np.linalg.norm(cand_res)
+                    break
             scale *= 0.5
         else:
             break

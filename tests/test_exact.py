@@ -1,8 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from tiltlab import exact
 from tiltlab.exact import (
     EmptyConstraintError,
     EnumerationCapError,
@@ -17,6 +22,7 @@ from tiltlab.exact import (
     kl_gap,
     sanov_bounds_check,
     type_log_prob,
+    type_satisfies,
     type_space_size,
 )
 from tiltlab.simplex import Alphabet, Distribution, product_block_law, tv_distance
@@ -332,3 +338,130 @@ def test_entropy_concentration_quantile_scaling():
     # delta_h quantiles scale like 1/N, so the 2*N*delta_h quantiles agree.
     ratio = (small.quantiles[0.95] / (2 * 300)) / (large.quantiles[0.95] / (2 * 3000))
     assert abs(ratio - 10.0) < 1.5
+
+
+# ------------------------------------------- array oracle vs per-type loops
+
+
+def brute_force_types(k: int, n: int) -> list[tuple[int, ...]]:
+    # The first k-1 counts range freely; the last one is what is left of n.
+    return [
+        head + (n - sum(head),)
+        for head in itertools.product(range(n + 1), repeat=k - 1)
+        if sum(head) <= n
+    ]
+
+
+def assert_matches_per_type_loop(p: Distribution, c: MomentConstraint, n: int) -> None:
+    """conditional_weights equals a plain loop over the scalar wrappers."""
+    types = [t for t in enumerate_types(p.alphabet, n) if type_satisfies(t, c)]
+    if not types:
+        with pytest.raises(EmptyConstraintError):
+            conditional_weights(p, c, n)
+        return
+    log_probs = np.array([type_log_prob(t, p) for t in types])
+    event = logsumexp(log_probs)
+    reference = np.exp(log_probs - event)
+    weights = conditional_weights(p, c, n)
+    assert weights.types == tuple(types)
+    np.testing.assert_allclose(weights.weights, reference / reference.sum(), rtol=0, atol=1e-15)
+    assert weights.event_log_prob == pytest.approx(event, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_type_table_matches_brute_force(k, monkeypatch):
+    # Small blocks make every table span several of them.
+    monkeypatch.setattr(exact, "_BLOCK_ROWS", 7)
+    for n in range(1, 13):
+        table = np.concatenate(list(exact._type_table(k, n)))
+        expected = brute_force_types(k, n)
+        assert [tuple(row) for row in table.tolist()] == expected
+        assert [t.counts for t in enumerate_types(k, n)] == expected
+
+
+def test_type_table_cap_refused_before_any_block():
+    with pytest.raises(EnumerationCapError):
+        exact._type_table(30, 30)
+    with pytest.raises(EnumerationCapError):
+        conditional_weights(COIN, MEAN_AT_LEAST_3_4, 20, cap=20)
+
+
+RAND4 = Distribution(Alphabet.of_size(4), np.array([0.1, 0.2, 0.3, 0.4]))
+RAND4_H = MomentFunction(RAND4.alphabet, np.array([0.3, 1.7, 2.2, -0.4]))
+DIE = Distribution.uniform(Alphabet.of_size(6))
+DIE_H = MomentFunction.from_labels(DIE.alphabet)
+DIE_H2 = MomentFunction(DIE.alphabet, np.array([[1, 0], [2, 1], [3, 0], [4, 1], [5, 0], [6, 1]]))
+
+
+@pytest.mark.parametrize(
+    "p,c,n",
+    [
+        (DIE, MomentConstraint(DIE_H, "equality", [4.5]), 12),
+        (DIE, MomentConstraint(DIE_H2, "equality", [4.5, 0.5]), 12),
+        (DIE, MomentConstraint(DIE_H, "halfspace", [4.0]), 9),
+        (DIE, MomentConstraint(DIE_H, "equality", [4.5], epsilon=0.3), 10),
+        (RAND4, MomentConstraint(RAND4_H, "equality", [1.0], epsilon=0.2), 11),
+        (RAND4, MomentConstraint(RAND4_H, "halfspace", [1.2]), 11),
+    ],
+    ids=["equality-d1", "equality-d2", "halfspace", "window", "window-rational", "halfspace-rational"],
+)
+def test_conditional_weights_match_per_type_loop(p, c, n):
+    assert_matches_per_type_loop(p, c, n)
+
+
+@pytest.mark.parametrize(
+    "p,c,n,m",
+    [
+        (DIE, MomentConstraint(DIE_H, "equality", [4.5]), 12, 3),
+        (RAND4, MomentConstraint(RAND4_H, "equality", [1.0], epsilon=0.2), 11, 4),
+        (COIN, MEAN_AT_LEAST_3_4, 40, 5),
+    ],
+)
+def test_block_mixture_matches_per_type_hypergeometric_laws(p, c, n, m):
+    weights = conditional_weights(p, c, n)
+    block = exact._block_from_weights(weights, m)
+    words = list(itertools.product(range(p.alphabet.size), repeat=m))
+    mixture = np.zeros(len(words))
+    for t, w in zip(weights.types, weights.weights):
+        law = hypergeometric_block_law(t, m)
+        mixture += w * np.array([law.mass(word) for word in words])
+    mixture /= mixture.sum()
+    np.testing.assert_allclose([block.mass(word) for word in words], mixture, rtol=0, atol=1e-15)
+
+
+def test_block_mixture_big_int_path_matches_int64_path():
+    # At m = 7, n^m crosses 2^62 near n = 462: n = 400 takes the int64
+    # path and n = 700 the exact big-int one.
+    for n in (400, 700):
+        t = TypeClass(COIN.alphabet, (n // 4, n - n // 4))
+        law = hypergeometric_block_law(t, 7)
+        for word in itertools.product(range(2), repeat=7):
+            ones = sum(word)
+            expected = math.perm(t.counts[1], ones) * math.perm(t.counts[0], 7 - ones) / math.perm(n, 7)
+            assert law.mass(word) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@st.composite
+def random_problem(draw):
+    k = draw(st.integers(2, 4))
+    masses = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    p = Distribution(Alphabet.of_size(k), masses / masses.sum())
+    h = MomentFunction(p.alphabet, np.array(draw(st.permutations(range(k))), dtype=float))
+    target = draw(st.floats(0.2, k - 1.2))
+    kind = draw(st.sampled_from(["equality", "halfspace", "window"]))
+    if kind == "window":
+        c = MomentConstraint(h, "equality", [target], epsilon=draw(st.floats(0.05, 0.1)))
+    elif kind == "equality":
+        # Land the target on the lattice of some size so the event is not empty.
+        n0 = draw(st.integers(1, 15))
+        c = MomentConstraint(h, "equality", [round(target * n0) / n0])
+    else:
+        c = MomentConstraint(h, "halfspace", [target])
+    return p, c, draw(st.integers(1, 15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_problem())
+def test_conditional_weights_property_random_baselines(problem):
+    p, c, n = problem
+    assert_matches_per_type_loop(p, c, n)

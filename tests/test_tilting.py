@@ -196,6 +196,16 @@ def test_random_scalar_targets_converge():
         assert sol.residual <= 1e-10
 
 
+def test_tiny_baseline_mass_falls_back_to_bisection():
+    # The tilted variance vanishes on the way to lambda ~ -114, so the Newton
+    # step is infinite; the solve must fall through to bisection, not raise.
+    p = Distribution(Alphabet.of_size(3), np.array([1e-50, 0.5, 0.5]))
+    sol = solve_moment_equality(p, MomentFunction.from_labels(p.alphabet), [1.5])
+    assert sol.status == "active"
+    assert sol.residual <= 1e-10
+    assert sol.multiplier[0] == pytest.approx(-114.436, abs=1e-3)
+
+
 # ---------------------------------------------------------------- i_project
 
 
