@@ -12,6 +12,7 @@ from .tilting import (
     InfeasibleConstraintError,
     MomentConstraint,
     MomentFunction,
+    SolverError,
     TiltSolution,
     i_project,
     log_partition,

@@ -3,7 +3,8 @@
 One subcommand per experiment, each with a zero-argument default; flags
 override values from an optional ``--config`` JSON file.  Exit codes:
 0 when every report check passes, 1 when any check fails, 2 on
-configuration or feasibility errors.
+configuration or feasibility errors, 3 when the moment solver fails on a
+feasible target.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .reports import (
     report_to_json,
 )
 from .scale_mixtures import ZeroAcceptanceError as GsmZeroAcceptanceError
-from .tilting import InfeasibleConstraintError
+from .tilting import InfeasibleConstraintError, SolverError
 
 __all__ = ["main", "build_parser"]
 
@@ -205,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     _emit(report, config)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

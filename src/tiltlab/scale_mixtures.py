@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
 from .rng import stream
 
@@ -42,6 +42,9 @@ _STREAM_SAMPLE = 10
 _STREAM_CF = 11
 _STREAM_CONDITION = 12
 _CHUNK_CELLS = 4 * 10**6
+# Cells per sampling tile: small enough for the working buffers to stay in
+# cache while a tile is scaled, shifted and reduced.
+_TILE_CELLS = 2**16
 
 
 class ZeroAcceptanceError(RuntimeError):
@@ -108,14 +111,43 @@ class MixingLaw:
     def cf_real(self, t: float) -> float:
         """Real part of the characteristic function of one coordinate."""
         if self.kind == "inverse-gamma":
-            density = stats.invgamma(self.shape, scale=self.scale).pdf
-            value, _ = integrate.quad(
-                lambda v: math.exp(-0.5 * v * t * t) * density(v), 0.0, np.inf
-            )
-            return math.cos(t * self.mean) * value
+            if t == 0.0:
+                return math.cos(t * self.mean)
+            return math.cos(t * self.mean) * _inverse_gamma_laplace(self.shape, 0.5 * self.scale * t * t)
         return sum(
             w * math.cos(t * m) * math.exp(-0.5 * v * t * t) for m, v, w in self.atoms
         )
+
+
+def _inverse_gamma_laplace(shape: float, bs: float) -> float:
+    """E exp(-sV) for V ~ InvGamma(shape, b), as a function of bs = b * s > 0.
+
+    The closed form is f_a = 2 (bs)^{a/2} K_a(2 sqrt(bs)) / Gamma(a).  It is
+    evaluated directly at orders up to 2 and carried up to ``shape`` by the
+    recurrence f_{v+1} = f_v + bs f_{v-1} / (v (v - 1)), which follows from
+    K_{v+1} = K_{v-1} + (2v/z) K_v.  Its terms are all positive, and no Bessel
+    value of a large order is formed, so nothing overflows.
+    """
+    z = 2.0 * math.sqrt(bs)
+
+    def direct(order: float) -> float:
+        scaled = special.kve(order, z)  # K_order(z) e^z
+        if math.isinf(scaled):
+            # Only for order near 2 and bs below about 1e-300, where
+            # f = 1 - bs / (order - 1) rounds to 1.
+            return 1.0
+        return math.exp(
+            math.log(2.0) + 0.5 * order * math.log(bs) + math.log(scaled) - z - special.gammaln(order)
+        )
+
+    if shape <= 2.0:
+        return direct(shape)
+    order = shape - math.ceil(shape) + 2.0  # in (1, 2], a whole number of steps below shape
+    lower, value = direct(order - 1.0), direct(order)
+    for _ in range(math.ceil(shape) - 2):
+        lower, value = value, value + bs * lower / (order * (order - 1.0))
+        order += 1.0
+    return value
 
 
 @dataclass(frozen=True)
@@ -228,6 +260,67 @@ class TwoMomentReport:
     seed: int
 
 
+def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
+    """One-sample Kolmogorov-Smirnov distance of ``sample`` from N(mean, sd^2).
+
+    The two one-sided distances of the sorted sample's CDF values from the
+    empirical step function, as ``scipy.stats.kstest`` computes them,
+    without its p-value.
+    """
+    cdf = special.ndtr((np.sort(sample) - mean) / sd)
+    size = cdf.size
+    d_plus = (np.arange(1.0, size + 1) / size - cdf).max()
+    d_minus = (cdf - np.arange(0.0, size) / size).max()
+    return float(max(d_plus, d_minus))
+
+
+def _accepted_blocks(
+    g: MixingLaw,
+    targets: tuple[float, float],
+    epsilon: float,
+    n: int,
+    block: int,
+    samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``samples`` sequences of length ``n``; return the first ``block``
+    coordinates of those whose empirical mean and variance lie in the open
+    windows, one row per accepted sequence in draw order.
+
+    Latents are drawn per chunk and normals per tile, both in row order, so
+    the random stream is consumed exactly as by one (rows, n) draw per chunk.
+    """
+    target_mean, target_var = targets
+    chunk_rows = max(1, _CHUNK_CELLS // n)
+    tile_rows = max(1, min(chunk_rows, _TILE_CELLS // n))
+    x_buf = np.empty((tile_rows, n))
+    dev_buf = np.empty((tile_rows, n))
+    collected = [np.empty((0, block))]
+    remaining = samples
+    while remaining > 0:
+        rows = min(chunk_rows, remaining)
+        remaining -= rows
+        means, variances = g.draw_latents(rng, rows)
+        scales = np.sqrt(variances)
+        for start in range(0, rows, tile_rows):
+            stop = min(start + tile_rows, rows)
+            x, dev = x_buf[: stop - start], dev_buf[: stop - start]
+            rng.standard_normal(out=x)
+            x *= scales[start:stop, None]
+            x += means[start:stop, None]
+            emp_mean = x.mean(axis=1)
+            np.square(np.subtract(x, emp_mean[:, None], out=dev), out=dev)
+            emp_var = dev.mean(axis=1)
+            keep = (
+                (np.abs(emp_mean - target_mean) < epsilon)
+                & (np.abs(emp_var - target_var) < epsilon)
+            )
+            if keep.any():
+                # Boolean indexing copies the rows: the buffer is refilled next tile.
+                collected.append(x[keep, :block])
+    return np.concatenate(collected)
+
+
 def condition_two_moments(
     g: MixingLaw,
     targets: tuple[float, float],
@@ -252,34 +345,16 @@ def condition_two_moments(
     if n < 2 or samples < 1:
         raise ValueError("need n >= 2 and samples >= 1")
 
-    rng = stream(seed, _STREAM_CONDITION)
-    chunk_rows = max(1, _CHUNK_CELLS // n)
-    collected: list[np.ndarray] = []
-    accepted = 0
-    remaining = samples
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        remaining -= rows
-        means, variances = g.draw_latents(rng, rows)
-        x = means[:, None] + np.sqrt(variances)[:, None] * rng.standard_normal((rows, n))
-        emp_mean = x.mean(axis=1)
-        emp_var = ((x - emp_mean[:, None]) ** 2).mean(axis=1)
-        keep = (
-            (np.abs(emp_mean - target_mean) < epsilon)
-            & (np.abs(emp_var - target_var) < epsilon)
-        )
-        if keep.any():
-            accepted += int(keep.sum())
-            collected.append(x[keep, :block].ravel())
-
+    blocks = _accepted_blocks(g, targets, epsilon, n, block, samples, stream(seed, _STREAM_CONDITION))
+    accepted = len(blocks)
     if accepted == 0:
         raise ZeroAcceptanceError(
             f"0 of {samples} sequences satisfied both windows around {targets} "
             f"(half-width {epsilon}); the acceptance probability is below "
             f"{1.0 / samples:.2e} -- widen the windows or move the targets"
         )
-    pooled = np.concatenate(collected)
-    ks = stats.kstest(pooled, "norm", args=(target_mean, math.sqrt(target_var))).statistic
+    pooled = blocks.ravel()
+    ks = _ks_normal(pooled, target_mean, math.sqrt(target_var))
     return TwoMomentReport(
         targets=(float(target_mean), float(target_var)),
         epsilon=float(epsilon),

@@ -33,6 +33,7 @@ __all__ = [
     "MomentConstraint",
     "TiltSolution",
     "InfeasibleConstraintError",
+    "SolverError",
     "log_partition",
     "tilt",
     "moment_map",
@@ -51,6 +52,10 @@ HULL_MARGIN = 1e-9
 
 class InfeasibleConstraintError(ValueError):
     """A constraint whose target is outside or on the moment hull boundary."""
+
+
+class SolverError(RuntimeError):
+    """The moment solve stopped short of its residual on a target inside the hull."""
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,7 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
         lam = _bisect_scalar(p, h, float(alpha[0]))
         if np.linalg.norm(moment_map(p, h, lam) - alpha) <= RESIDUAL_TOL:
             return _solution_at(p, h, lam, alpha, "active")
-    raise RuntimeError(
+    raise SolverError(
         f"moment solve did not reach residual {RESIDUAL_TOL} (best {best:.3e}); "
         "the moment coordinates may be linearly dependent"
     )

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from scipy import stats
 
+import tiltlab
 from tiltlab.cli import main
+from tiltlab.experiments import _chi2_quantile
 from tiltlab.reports import (
     Report,
     Table,
@@ -206,3 +213,59 @@ def test_exit_1_when_a_check_fails(tmp_path):
     assert code == 1
     raw = json.loads(out.read_text())
     assert not all(c["passed"] for c in raw["checks"])
+
+
+def test_solver_failure_exits_3_on_one_line(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "experiment": "theorem1",
+        "baseline": {"kind": "masses", "values": [1e-50, 0.5, 0.5]},
+        "constraint": {"kind": "equality", "h": [[1, 1], [2, 4], [3, 9]], "target": [1.51, 2.55]},
+    }))
+    assert main(["theorem1", "--config", str(config_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: moment solve did not reach residual")
+    assert captured.err.count("\n") == 1
+
+
+# ------------------------------------------------------------ scipy.stats-free
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_chi2_quantile_equals_scipy(k):
+    assert _chi2_quantile(0.95, k - 1) == stats.chi2.ppf(0.95, k - 1)
+
+
+def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
+    # A fresh interpreter: this test process has imported scipy.stats itself.
+    configs = {
+        "gsm": {"experiment": "gsm"},
+        "dice-concentration": {"experiment": "dice-concentration", "samples": 20000},
+    }
+    script = """
+import json, sys
+import tiltlab.cli
+
+def loaded():
+    return [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+
+seen = {"import": [0, loaded()]}
+for name, config_path, out in json.loads(sys.argv[1]):
+    rc = tiltlab.cli.main([name, "--config", config_path, "--out", out])
+    seen[name] = [rc, loaded()]
+print(json.dumps(seen))
+"""
+    runs = []
+    for name, config in configs.items():
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        runs.append([name, str(config_path), str(tmp_path / f"{name}.out.json")])
+    src = str(Path(tiltlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen == {"import": [0, []], "gsm": [0, []], "dice-concentration": [0, []]}

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
+from tiltlab import scale_mixtures
+from tiltlab.experiments import _default_gsm_mixing
 from tiltlab.montecarlo import rate_fit
+from tiltlab.reports import default_config
+from tiltlab.rng import stream
 from tiltlab.scale_mixtures import (
     MixingLaw,
     RealSample,
     ZeroAcceptanceError,
+    _accepted_blocks,
+    _ks_normal,
     condition_two_moments,
     empirical_limits,
     radial_cf_check,
@@ -113,6 +119,115 @@ def test_cf_check_inverse_gamma_quadrature():
     mixing = MixingLaw.inverse_gamma(3.0, 2.0)
     report = radial_cf_check(mixing, (0.0, 0.5, 1.0, 2.0), samples=10**5, seed=3)
     assert report.max_deviation <= 4.0 / math.sqrt(report.samples) + 1e-3
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.5, 3.0, 7.5])
+@pytest.mark.parametrize("scale", [0.5, 2.0, 5.0])
+def test_inverse_gamma_cf_matches_quadrature(shape, scale):
+    mixing = MixingLaw.inverse_gamma(shape, scale, mean=0.3)
+    density = stats.invgamma(shape, scale=scale).pdf
+    for t in (0.1, 0.5, 1.0, 2.0):
+        value, _ = integrate.quad(
+            lambda v: math.exp(-0.5 * v * t * t) * density(v), 0.0, np.inf,
+            epsabs=1e-13, epsrel=1e-12, limit=200,
+        )
+        assert abs(mixing.cf_real(t) - math.cos(0.3 * t) * value) <= 1e-10
+    assert mixing.cf_real(0.0) == 1.0
+    assert MixingLaw.inverse_gamma(shape, scale).cf_real(0.0) == 1.0
+
+
+def test_inverse_gamma_cf_large_shapes_against_bessel_reference():
+    # Shapes far above 2 take the order recurrence; K_a itself overflows a
+    # double at these shapes and small t.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for shape, scale, t in [(50.0, 2.0, 1e-9), (50.0, 2.0, 1.0), (200.0, 2.0, 1.0), (1000.5, 1000.0, 0.1), (3.0000001, 1.0, 0.7)]:
+        bs = mpmath.mpf(scale) * mpmath.mpf(t) ** 2 / 2
+        exact = 2 * bs ** (mpmath.mpf(shape) / 2) * mpmath.besselk(shape, 2 * mpmath.sqrt(bs)) / mpmath.gamma(shape)
+        assert MixingLaw.inverse_gamma(shape, scale).cf_real(t) == pytest.approx(float(exact), abs=1e-13)
+
+
+# ----------------------------------------------------- two-moment conditioning
+
+
+def _untiled_blocks(g, targets, epsilon, n, block, samples, rng):
+    """The sampler as it was before tiling: one (rows, n) draw per chunk."""
+    target_mean, target_var = targets
+    chunk_rows = max(1, scale_mixtures._CHUNK_CELLS // n)
+    collected = []
+    accepted = 0
+    remaining = samples
+    while remaining > 0:
+        rows = min(chunk_rows, remaining)
+        remaining -= rows
+        means, variances = g.draw_latents(rng, rows)
+        x = means[:, None] + np.sqrt(variances)[:, None] * rng.standard_normal((rows, n))
+        emp_mean = x.mean(axis=1)
+        emp_var = ((x - emp_mean[:, None]) ** 2).mean(axis=1)
+        keep = (
+            (np.abs(emp_mean - target_mean) < epsilon)
+            & (np.abs(emp_var - target_var) < epsilon)
+        )
+        if keep.any():
+            accepted += int(keep.sum())
+            collected.append(x[keep, :block].ravel())
+    return accepted, np.concatenate(collected)
+
+
+@pytest.mark.parametrize(
+    "mixing, epsilon, n, block, samples, chunk_cells, tile_cells",
+    [
+        # fewer samples than one tile holds
+        (TWO_ATOM, 0.2, 50, 5, 500, None, None),
+        # rows not a multiple of the tile, with an inverse-gamma mixing
+        (MixingLaw.inverse_gamma(3.0, 2.0, mean=0.1), 0.2, 50, 3, 3000, None, None),
+        # many chunks, each ending in a partial tile; nonzero latent means
+        (MixingLaw.discrete([(0.1, 1.0, 0.5), (-0.1, 4.0, 0.5)]), 0.3, 40, 4, 203, 1000, 300),
+        # chunks smaller than a tile: the tile shrinks to the chunk
+        (TWO_ATOM, 0.3, 40, 4, 203, 1000, 4096),
+        # rows longer than a tile holds: one-row tiles, 61-row chunks
+        (TWO_ATOM, 0.02, 2**16 + 1, 2, 130, None, None),
+        # windows that accept every row
+        (TWO_ATOM, 50.0, 50, 10, 3000, None, None),
+    ],
+)
+def test_tiled_sampler_is_bit_identical_to_untiled(monkeypatch, mixing, epsilon, n, block, samples, chunk_cells, tile_cells):
+    if chunk_cells is not None:
+        monkeypatch.setattr(scale_mixtures, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(scale_mixtures, "_TILE_CELLS", tile_cells)
+    args = (mixing, (0.0, 1.0), epsilon, n, block, samples)
+    accepted, pooled = _untiled_blocks(*args, stream(9, scale_mixtures._STREAM_CONDITION))
+    blocks = _accepted_blocks(*args, stream(9, scale_mixtures._STREAM_CONDITION))
+    assert accepted > 0
+    assert len(blocks) == accepted
+    assert np.array_equal(blocks.ravel(), pooled)
+    if epsilon == 50.0:
+        assert accepted == samples
+
+
+@pytest.mark.parametrize(
+    "sample, mean, sd",
+    [
+        (np.random.default_rng(41).normal(0.3, 1.7, 1), 0.3, 1.7),
+        (np.random.default_rng(42).normal(0.3, 1.7, 2), 0.3, 1.7),
+        (np.random.default_rng(43).normal(0.0, 1.0, 1000), 0.1, 1.2),
+        (np.random.default_rng(44).standard_t(3, 50_000), 0.0, 1.0),
+        # ties: values rounded to one decimal
+        (np.round(np.random.default_rng(45).normal(0.0, 1.0, 5000), 1), 0.0, 1.0),
+    ],
+)
+def test_ks_statistic_equals_scipy_kstest(sample, mean, sd):
+    assert _ks_normal(sample, mean, sd) == stats.kstest(sample, "norm", args=(mean, sd)).statistic
+
+
+def test_ks_statistic_of_default_gsm_run_equals_scipy_kstest():
+    config = default_config("gsm")
+    args = (_default_gsm_mixing(), config.gsm_targets, config.gsm_epsilon, config.gsm_n, config.gsm_block, config.samples)
+    pooled = _accepted_blocks(*args, stream(config.seed, scale_mixtures._STREAM_CONDITION)).ravel()
+    mean, variance = config.gsm_targets
+    expected = stats.kstest(pooled, "norm", args=(mean, math.sqrt(variance))).statistic
+    assert _ks_normal(pooled, mean, math.sqrt(variance)) == expected
+    assert condition_two_moments(*args, seed=config.seed).ks_statistic == expected
 
 
 # ----------------------------------------------------- two-moment conditioning

@@ -7,6 +7,7 @@ from tiltlab.simplex import Alphabet, Distribution, entropy, kl_divergence, tv_d
 from tiltlab.tilting import (
     MomentConstraint,
     MomentFunction,
+    SolverError,
     i_project,
     log_partition,
     moment_map,
@@ -204,6 +205,17 @@ def test_tiny_baseline_mass_falls_back_to_bisection():
     assert sol.status == "active"
     assert sol.residual <= 1e-10
     assert sol.multiplier[0] == pytest.approx(-114.436, abs=1e-3)
+
+
+def test_near_degenerate_d2_solve_raises_solver_error():
+    # The target is interior to the hull of (x, x^2) on 1..3, but the tiny
+    # first mass leaves Newton stuck and d > 1 has no bisection fallback.
+    p = Distribution(Alphabet.of_size(3), np.array([1e-50, 0.5, 0.5]))
+    h = MomentFunction(p.alphabet, np.array([[1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
+    with pytest.raises(SolverError, match="did not reach residual"):
+        solve_moment_equality(p, h, [1.51, 2.55])
+    assert issubclass(SolverError, RuntimeError)
+    assert not issubclass(SolverError, ValueError)
 
 
 # ---------------------------------------------------------------- i_project
