@@ -29,7 +29,6 @@ from .reports import (
     render_csv,
     report_to_json,
 )
-from .scale_mixtures import ZeroAcceptanceError as GsmZeroAcceptanceError
 from .tilting import InfeasibleConstraintError, SolverError
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +40,6 @@ _CONFIG_ERRORS = (
     EnumerationCapError,
     NonUniqueProjectionError,
     ZeroAcceptanceError,
-    GsmZeroAcceptanceError,
     LowEffectiveSampleError,
     ValueError,
 )
@@ -86,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", type=Path, default=None, help="write the report here")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="parallelism bound, 0 = machine default (reserved; execution is serial)",
-        )
 
     p_dice = sub.add_parser("dice", help="tilt a fair die to a target mean")
     common(p_dice)
@@ -152,7 +146,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         base = config_from_dict({**config_to_dict(base), **raw})
 
     overrides: dict = {}
-    for key in ("seed", "samples", "format", "threads", "m", "n_grid", "t_grid", "method", "exponent", "amplitude"):
+    for key in ("seed", "samples", "format", "m", "n_grid", "t_grid", "method", "exponent", "amplitude"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

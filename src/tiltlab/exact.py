@@ -339,14 +339,17 @@ def _smallest_feasible_n(alphabet: Alphabet, c: MomentConstraint, probe_limit: i
 
 
 @lru_cache(maxsize=64)
-def _word_classes(k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
-    """All k^m words, the count classes (the types of size m) and each
-    word's class index."""
-    words = tuple(itertools.product(range(k), repeat=m))
-    classes = np.concatenate(list(_type_table(k, m)))
-    index = {counts: i for i, counts in enumerate(map(tuple, classes.tolist()))}
-    inverse = np.array([index[tuple(map(word.count, range(k)))] for word in words])
-    return words, classes, inverse
+def _word_classes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count classes of length-m words (the types of size m, as rows of
+    counts) and each word's class index, in the word order of BlockLaw.
+
+    A word's class is fixed by its symbols sorted, so the classes are the
+    distinct sorted digit rows of the word indices 0 .. k^m - 1.
+    """
+    digits = np.arange(k**m)[:, None] // k ** np.arange(m - 1, -1, -1) % k
+    sorted_words, inverse = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
+    classes = (sorted_words[:, :, None] == np.arange(k)).sum(axis=1)
+    return classes, inverse.ravel()
 
 
 def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -> np.ndarray:
@@ -357,7 +360,7 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     counts c, so it is computed once per count class, accumulated in type
     order, and then expanded to the words.
     """
-    _, classes, inverse = _word_classes(k, m)
+    classes, inverse = _word_classes(k, m)
     denom = math.prod(range(n, n - m, -1))
     total = np.zeros(len(classes))
     if n**m < 2**62:
@@ -377,11 +380,6 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     return total[inverse]
 
 
-def _word_law(alphabet: Alphabet, m: int, masses: np.ndarray) -> BlockLaw:
-    words = _word_classes(alphabet.size, m)[0]
-    return BlockLaw(alphabet, m, {word: float(mass) for word, mass in zip(words, masses) if mass > 0})
-
-
 def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> BlockLaw:
     """Exact law of the first m coordinates of a uniform sequence of type t.
 
@@ -395,7 +393,7 @@ def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> Blo
     k = t.alphabet.size
     if k**m > word_cap:
         raise ValueError(f"k^m = {k**m} words exceeds the cap of {word_cap}")
-    return _word_law(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
+    return BlockLaw(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
 
 
 def hypergeometric_tv_check(t: TypeClass, m: int, tol: float = 1e-12) -> TvCheck:
@@ -429,8 +427,7 @@ def _block_from_weights(weights: ConditionalWeights, m: int) -> BlockLaw:
         raise ValueError(f"block length {m} exceeds the sequence length {weights.n}")
     rows = [t.counts for t in weights.types]
     total = _hypergeometric_mixture(alphabet.size, rows, weights.weights, weights.n, m)
-    total /= total.sum()
-    return _word_law(alphabet, m, total)
+    return BlockLaw(alphabet, m, total / total.sum())
 
 
 def convergence_sweep(

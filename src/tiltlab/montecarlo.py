@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import stream
-from .simplex import DEFAULT_WORD_CAP, BlockLaw, Distribution, tv_distance
+from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, tv_distance, word_index
 from .tilting import (
     MomentFunction,
     open_window_mask,
@@ -55,7 +55,7 @@ _CHUNK_CELLS = 4 * 10**6  # simulated coordinates per chunk; rows scale as 1/n
 
 
 class ZeroAcceptanceError(RuntimeError):
-    """No proposal landed in the window."""
+    """No proposal landed in the conditioning window (or windows)."""
 
 
 class LowEffectiveSampleError(RuntimeError):
@@ -90,14 +90,16 @@ class WindowSchedule:
 class McEstimate:
     """Self-normalized estimates of per-word conditional probabilities.
 
-    ``std_errors[i]`` is the weighted sampling standard error of
-    ``estimates[i]``; with equal weights it reduces to sample std over the
-    square root of the accepted count.  ``ess`` is the effective sample
-    size 1 / sum of squared normalized weights (the accepted count under
-    rejection).
+    ``estimates`` and ``std_errors`` list the k^m words in the word order of
+    :class:`~tiltlab.simplex.BlockLaw`.  ``std_errors[i]`` is the weighted
+    sampling standard error of ``estimates[i]``; with equal weights it
+    reduces to sample std over the square root of the accepted count.
+    ``ess`` is the effective sample size 1 / sum of squared normalized
+    weights (the accepted count under rejection).
     """
 
-    words: tuple[tuple[int, ...], ...]
+    alphabet: Alphabet
+    m: int
     estimates: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
     proposals: int = 0
@@ -109,10 +111,7 @@ class McEstimate:
 
     def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
         """(estimate, standard error) for one word; (0, 0) if never seen."""
-        try:
-            i = self.words.index(word)
-        except ValueError:
-            return 0.0, 0.0
+        i = word_index(word, self.alphabet.size, self.m)
         return float(self.estimates[i]), float(self.std_errors[i])
 
 
@@ -219,7 +218,6 @@ def _conditioned_draws(
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
     scale = max(1.0, float(np.abs(values).max()))
     chunk_rows = max(1, _CHUNK_CELLS // max(n, 1))
-    encoder = p.alphabet.size ** np.arange(m)
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
     remaining = samples
@@ -229,7 +227,7 @@ def _conditioned_draws(
         first, sums = _draw_window_batch(rng, proposal, values, n, m, rows)
         keep = open_window_mask(sums / n, lo, hi, scale)
         if keep.any():
-            kept_words.append(first[keep] @ encoder)
+            kept_words.append(word_index(first[keep], p.alphabet.size, m))
             kept_sums.append(sums[keep])
 
     if not kept_words:
@@ -252,15 +250,9 @@ def _conditioned_draws(
     )
 
 
-def _decode_words(k: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((idx // k**j) % k for j in range(m)) for idx in range(k**m))
-
-
-def _law_from(word_idx: np.ndarray, weights: np.ndarray, k: int, m: int, alphabet) -> BlockLaw:
-    mass = np.bincount(word_idx, weights=weights, minlength=k**m)
-    mass = mass / mass.sum()
-    words = _decode_words(k, m)
-    return BlockLaw(alphabet, m, {w: float(v) for w, v in zip(words, mass) if v > 0})
+def _law_from(word_idx: np.ndarray, weights: np.ndarray, alphabet: Alphabet, m: int) -> BlockLaw:
+    mass = np.bincount(word_idx, weights=weights, minlength=alphabet.size**m)
+    return BlockLaw(alphabet, m, mass / mass.sum())
 
 
 def sample_conditional_blocks(
@@ -292,8 +284,7 @@ def sample_conditional_blocks(
             f"effective sample size {ess:.1f} < {MIN_ESS:.0f}; increase samples"
         )
 
-    k = p.alphabet.size
-    n_words = k**m
+    n_words = p.alphabet.size**m
     w_sum = np.bincount(draws.word_idx, weights=weights, minlength=n_words)
     w_sq = np.bincount(draws.word_idx, weights=weights**2, minlength=n_words)
     estimates = w_sum
@@ -304,12 +295,10 @@ def sample_conditional_blocks(
     )
     std_errors = np.sqrt(np.maximum(variances, 0.0))
 
-    words = _decode_words(k, m)
-    total = estimates.sum()
-    law = {w: float(v / total) for w, v in zip(words, estimates) if v > 0}
-    block = BlockLaw(p.alphabet, m, law)
+    block = BlockLaw(p.alphabet, m, estimates / estimates.sum())
     estimate = McEstimate(
-        words=words,
+        alphabet=p.alphabet,
+        m=m,
         estimates=estimates,
         std_errors=std_errors,
         proposals=draws.proposals,
@@ -349,7 +338,6 @@ def window_sweep(
     if not target.feasible:
         raise ValueError(f"target {alpha} is not reachable by a tilt: {target.diagnostic}")
     product = product_block_law(target.tilted, m)
-    k = p.alphabet.size
 
     points = []
     for i, n in enumerate(n_grid):
@@ -364,7 +352,7 @@ def window_sweep(
                 "increase samples or shorten the grid (whole-sequence importance "
                 "weights degenerate as n grows)"
             )
-        block = _law_from(draws.word_idx, draws.weights, k, m, p.alphabet)
+        block = _law_from(draws.word_idx, draws.weights, p.alphabet, m)
         tv = tv_distance(block, product)
 
         batches = max(2, min(n_batches, draws.accepted // 2))
@@ -374,7 +362,7 @@ def window_sweep(
             sl = slice(edges[b], edges[b + 1])
             if edges[b + 1] - edges[b] < 1:
                 continue
-            block_b = _law_from(draws.word_idx[sl], draws.weights[sl], k, m, p.alphabet)
+            block_b = _law_from(draws.word_idx[sl], draws.weights[sl], p.alphabet, m)
             tvs.append(tv_distance(block_b, product))
         se = (
             float(np.std(tvs, ddof=1) / math.sqrt(len(tvs)))

@@ -82,7 +82,6 @@ class ExperimentConfig:
     gsm_epsilon: float = 0.1
     gsm_n: int = 200
     gsm_block: int = 5
-    threads: int = 0
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:

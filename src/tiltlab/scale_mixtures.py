@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .montecarlo import ZeroAcceptanceError
 from .rng import stream
 
 __all__ = [
@@ -45,10 +46,6 @@ _CHUNK_CELLS = 4 * 10**6
 # Cells per sampling tile: small enough for the working buffers to stay in
 # cache while a tile is scaled, shifted and reduced.
 _TILE_CELLS = 2**16
-
-
-class ZeroAcceptanceError(RuntimeError):
-    """No sequence satisfied both moment windows."""
 
 
 @dataclass(frozen=True)

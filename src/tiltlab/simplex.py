@@ -6,12 +6,17 @@ is built on the three value types defined here: :class:`Alphabet`,
 all functions are pure, so the module is safe to use from any number of
 threads.
 
+Both laws are dense read-only float vectors.  A block law on length-m words
+over k symbols holds k^m masses in the one word order that the exact oracle
+and the samplers share: lexicographic, the last coordinate fastest, so word
+w sits at index sum_j w_j k^(m-1-j).  :func:`word_index` maps words to it.
+
 Units: entropies and divergences are in nats throughout.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +31,7 @@ __all__ = [
     "kl_divergence",
     "tv_distance",
     "product_block_law",
+    "word_index",
     "DEFAULT_WORD_CAP",
 ]
 
@@ -72,6 +78,19 @@ class Alphabet:
         return np.array([float(s) for s in self.labels])
 
 
+def _mass_vector(masses, length: int) -> np.ndarray:
+    """A fresh float copy of ``masses``, checked to be a finite, nonnegative
+    vector of the given length."""
+    masses = np.array(masses, dtype=float)
+    if masses.shape != (length,):
+        raise ValueError(f"mass vector has shape {masses.shape}, expected ({length},)")
+    if not np.all(np.isfinite(masses)):
+        raise ValueError("masses must be finite")
+    if np.any(masses < 0):
+        raise ValueError(f"negative mass entry: min = {masses.min()}")
+    return masses
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability vector over an :class:`Alphabet`.
@@ -85,15 +104,7 @@ class Distribution:
     masses: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        masses = np.asarray(self.masses, dtype=float)
-        if masses.shape != (self.alphabet.size,):
-            raise ValueError(
-                f"mass vector has shape {masses.shape}, expected ({self.alphabet.size},)"
-            )
-        if not np.all(np.isfinite(masses)):
-            raise ValueError("masses must be finite")
-        if np.any(masses < 0):
-            raise ValueError(f"negative mass entry: min = {masses.min()}")
+        masses = _mass_vector(self.masses, self.alphabet.size)
         gap = abs(float(masses.sum()) - 1.0)
         if gap > SUM_TOL_RENORM:
             raise ValueError(f"masses sum to 1{masses.sum() - 1.0:+.3e}, beyond tolerance {SUM_TOL_RENORM}")
@@ -101,8 +112,7 @@ class Distribution:
             warnings.warn(
                 f"mass sum off by {gap:.3e}; renormalizing", stacklevel=2
             )
-            masses = masses / masses.sum()
-        masses = masses.copy()
+            masses /= masses.sum()
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
 
@@ -129,41 +139,46 @@ class Distribution:
 
 @dataclass(frozen=True)
 class BlockLaw:
-    """A law on length-``m`` words, stored sparsely as word -> mass.
+    """A law on length-``m`` words, stored densely as a read-only vector of
+    k^m masses.
 
-    Words are tuples of 0-based symbol indices.  Words absent from the map
-    carry zero mass.
+    Words are tuples of 0-based symbol indices, listed in lexicographic
+    order: word w sits at index sum_j w_j k^(m-1-j).  The vector is thus the
+    C-order flattening of the k x ... x k array indexed by words.
     """
 
     alphabet: Alphabet
     m: int
-    masses: dict[tuple[int, ...], float] = field(repr=False)
+    masses: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"block length must be >= 1, got {self.m}")
-        k = self.alphabet.size
-        total = 0.0
-        for word, mass in self.masses.items():
-            if len(word) != self.m or any(not (0 <= s < k) for s in word):
-                raise ValueError(f"word {word} is not a length-{self.m} word over {k} symbols")
-            if mass < 0:
-                raise ValueError(f"negative mass {mass} on word {word}")
-            total += mass
+        masses = _mass_vector(self.masses, self.alphabet.size**self.m)
+        total = float(masses.sum())
         if abs(total - 1.0) > BLOCK_SUM_TOL:
             raise ValueError(f"block masses sum to 1{total - 1.0:+.3e}, beyond tolerance {BLOCK_SUM_TOL}")
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
 
     def mass(self, word: tuple[int, ...]) -> float:
-        return self.masses.get(word, 0.0)
+        return float(self.masses[word_index(word, self.alphabet.size, self.m)])
 
     def marginal(self, coordinate: int) -> Distribution:
         """Marginal law of one coordinate (0-based)."""
         if not (0 <= coordinate < self.m):
             raise ValueError(f"coordinate {coordinate} out of range for m={self.m}")
-        out = np.zeros(self.alphabet.size)
-        for word, mass in self.masses.items():
-            out[word[coordinate]] += mass
+        others = tuple(j for j in range(self.m) if j != coordinate)
+        out = self.masses.reshape((self.alphabet.size,) * self.m).sum(axis=others)
         return Distribution(self.alphabet, out / out.sum())
+
+
+def word_index(words, k: int, m: int):
+    """Index of a word, or of each row of an array of words, in the word
+    order of :class:`BlockLaw`.  Raises ValueError on a word that is not a
+    length-``m`` word over ``k`` symbols.
+    """
+    return np.ravel_multi_index(np.moveaxis(np.asarray(words), -1, 0), (k,) * m)
 
 
 def _check_same_alphabet(p: Distribution | BlockLaw, q: Distribution | BlockLaw) -> None:
@@ -196,16 +211,17 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
 
 
 def tv_distance(p: Distribution | BlockLaw, q: Distribution | BlockLaw) -> float:
-    """Total variation distance, half the L1 gap over points or words."""
+    """Total variation distance, half the L1 gap over points or words.
+
+    The gaps are added by ``math.fsum``, so the result is correctly rounded
+    and does not depend on the order of the points.
+    """
     _check_same_alphabet(p, q)
-    if isinstance(p, Distribution) and isinstance(q, Distribution):
-        return float(0.5 * np.abs(p.masses - q.masses).sum())
-    if isinstance(p, BlockLaw) and isinstance(q, BlockLaw):
-        if p.m != q.m:
-            raise ValueError(f"block lengths differ: {p.m} vs {q.m}")
-        words = p.masses.keys() | q.masses.keys()
-        return 0.5 * sum(abs(p.mass(w) - q.mass(w)) for w in words)
-    raise TypeError("tv_distance needs two distributions or two block laws")
+    if type(p) is not type(q) or not isinstance(p, (Distribution, BlockLaw)):
+        raise TypeError("tv_distance needs two distributions or two block laws")
+    if isinstance(p, BlockLaw) and p.m != q.m:
+        raise ValueError(f"block lengths differ: {p.m} vs {q.m}")
+    return 0.5 * math.fsum(np.abs(p.masses - q.masses))
 
 
 def product_block_law(p: Distribution, m: int, word_cap: int = DEFAULT_WORD_CAP) -> BlockLaw:
@@ -220,11 +236,5 @@ def product_block_law(p: Distribution, m: int, word_cap: int = DEFAULT_WORD_CAP)
         raise ValueError(f"k^m = {k**m} words exceeds the cap of {word_cap}")
     # Products of up to m masses: work in log-domain, clamp before exp.
     logp = np.log(np.maximum(p.masses, np.exp(LOG_FLOOR)))
-    masses: dict[tuple[int, ...], float] = {}
-    for word in itertools.product(range(k), repeat=m):
-        lp = sum(logp[s] for s in word)
-        if lp >= LOG_FLOOR:
-            masses[word] = math.exp(lp)
-    total = sum(masses.values())
-    masses = {w: v / total for w, v in masses.items()}
-    return BlockLaw(p.alphabet, m, masses)
+    masses = np.exp(functools.reduce(np.add.outer, [logp] * m)).ravel()
+    return BlockLaw(p.alphabet, m, masses / masses.sum())

@@ -349,7 +349,8 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
             return _solution_at(p, h, lam, alpha, "active")
     raise SolverError(
         f"moment solve did not reach residual {RESIDUAL_TOL} (best {best:.3e}); "
-        "the moment coordinates may be linearly dependent"
+        "the target may lie on or near the boundary of the moment hull, or the "
+        f"smallest baseline mass ({p.masses.min():.3e}) may be too small to tilt"
     )
 
 

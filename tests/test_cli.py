@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -227,6 +228,35 @@ def test_solver_failure_exits_3_on_one_line(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("solver error: moment solve did not reach residual")
     assert captured.err.count("\n") == 1
+    # The coordinates x and x^2 are independent; the tiny baseline mass is the cause.
+    assert "linearly dependent" not in captured.err
+    assert "smallest baseline mass (1.000e-50)" in captured.err
+
+
+def test_threads_flag_and_config_key_are_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["dice", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment": "dice", "threads": 0}))
+    assert main(["dice", "--config", str(config_path)]) == 2
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", ["exact-die-mean", "exact-die-2d"])
+def test_exact_workloads_match_benchmark_reference_tables(workload, tmp_path):
+    # The benchmark's exact correctness gate, run in the suite.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    config_path = perfbench / "workloads" / f"{workload}.json"
+    out = tmp_path / "report.json"
+    assert main([json.loads(config_path.read_text())["experiment"], "--config", str(config_path), "--out", str(out)]) == 0
+    tables = json.loads(out.read_text())["tables"]
+    reference = json.loads((perfbench / "reference" / f"{workload}.json").read_text())["tables"]
+    assert sorted(tables) == sorted(reference)
+    for name, ref in reference.items():
+        assert tables[name]["columns"] == ref["columns"]
+        np.testing.assert_allclose(tables[name]["rows"], ref["rows"], rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ scipy.stats-free

@@ -177,6 +177,16 @@ def test_hypergeometric_m1_is_frequency_view():
     )
 
 
+def test_hypergeometric_masses_follow_the_shared_word_order():
+    # Word masses depend on the word's symbol counts, so a word mapped to
+    # the wrong count class shows here; k = 3 has classes that k = 2 lacks.
+    t = TypeClass(Alphabet.of_size(3), (2, 3, 4))
+    law = hypergeometric_block_law(t, 3)
+    for i, word in enumerate(itertools.product(range(3), repeat=3)):
+        falling = math.prod(math.perm(t.counts[s], word.count(s)) for s in range(3))
+        assert law.masses[i] == law.mass(word) == pytest.approx(falling / math.perm(9, 3), rel=1e-15, abs=0)
+
+
 def test_hypergeometric_block_longer_than_type_raises():
     with pytest.raises(ValueError, match="exceeds"):
         hypergeometric_block_law(TypeClass(COIN.alphabet, (1, 1)), 3)

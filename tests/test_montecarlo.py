@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from tiltlab import montecarlo
 from tiltlab.exact import conditional_block_law
 from tiltlab.montecarlo import (
     LowEffectiveSampleError,
@@ -12,7 +14,7 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
-from tiltlab.simplex import Distribution
+from tiltlab.simplex import Alphabet, Distribution
 from tiltlab.tilting import MomentConstraint, MomentFunction
 
 COIN = Distribution.bernoulli(0.5)
@@ -108,6 +110,29 @@ def test_zero_acceptance_raises_with_advice():
 def test_low_effective_sample_raises():
     with pytest.raises((ZeroAcceptanceError, LowEffectiveSampleError)):
         sample_conditional_blocks(COIN, COIN_H, (0.70, 0.80), 100, 1, 10**5, "rejection", seed=5)
+
+
+def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
+    # The words (0, 2) and (2, 0) are drawn 3:1.  An encoder in another word
+    # order than BlockLaw's swaps their masses; an exchangeable law, being
+    # symmetric, would not show it.
+    die3 = Distribution.uniform(Alphabet.of_size(3))
+    rows = np.array([(0, 2), (0, 2), (0, 2), (2, 0)])
+
+    def fixed_batch(rng, law, h, n, m, count):
+        return np.resize(rows, (count, 2)), np.full(count, 2.0 * n)
+
+    monkeypatch.setattr(montecarlo, "_draw_window_batch", fixed_batch)
+    h = MomentFunction.from_labels(die3.alphabet)
+    est, block = sample_conditional_blocks(die3, h, (1.5, 2.5), 10, 2, 4000, "rejection")
+    draws = montecarlo._conditioned_draws(die3, h, (1.5, 2.5), 10, 2, 4000, "rejection", 0, 0)
+    swept = montecarlo._law_from(draws.word_idx, draws.weights, die3.alphabet, 2)
+    expected = {(0, 2): 0.75, (2, 0): 0.25}
+    for word in itertools.product(range(3), repeat=2):
+        mass = pytest.approx(expected.get(word, 0.0), abs=1e-12)
+        assert block.mass(word) == mass
+        assert swept.mass(word) == mass
+        assert est.estimate_for(word)[0] == mass
 
 
 def test_window_must_be_inside_value_range():

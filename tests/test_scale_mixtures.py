@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from tiltlab import scale_mixtures
+from tiltlab import montecarlo, scale_mixtures
 from tiltlab.experiments import _default_gsm_mixing
 from tiltlab.montecarlo import rate_fit
 from tiltlab.reports import default_config
@@ -251,6 +251,12 @@ def test_condition_two_moments_wide_window_keeps_mixture():
 def test_condition_two_moments_zero_acceptance():
     with pytest.raises(ZeroAcceptanceError, match="acceptance probability"):
         condition_two_moments(TWO_ATOM, (25.0, 1.0), 0.05, 100, 2, 2000, seed=2)
+
+
+def test_zero_acceptance_is_one_error_class():
+    # The CLI maps this one class to exit 2 for both the window samplers and
+    # the Gaussian-mixture conditioning.
+    assert ZeroAcceptanceError is montecarlo.ZeroAcceptanceError
 
 
 def test_condition_two_moments_ks_shrinks_along_schedule():

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltlab.simplex import (
     Alphabet,
@@ -144,22 +147,22 @@ def test_tv_block_law_vs_product():
     alphabet = Alphabet.of_size(2)
     # Mass 1/2 each on the two mixed words; its one-coordinate marginals are
     # fair coins, yet the law is far from the product of those marginals.
-    paired = BlockLaw(alphabet, 2, {(0, 1): 0.5, (1, 0): 0.5})
+    paired = BlockLaw(alphabet, 2, [0.0, 0.5, 0.5, 0.0])
     fair = product_block_law(Distribution.uniform(alphabet), 2)
     assert tv_distance(paired, fair) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tv_block_length_mismatch_raises():
     alphabet = Alphabet.of_size(2)
-    one = BlockLaw(alphabet, 1, {(0,): 1.0})
-    two = BlockLaw(alphabet, 2, {(0, 0): 1.0})
+    one = BlockLaw(alphabet, 1, [1.0, 0.0])
+    two = BlockLaw(alphabet, 2, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="block lengths"):
         tv_distance(one, two)
 
 
 def test_tv_mixed_kinds_raise():
     alphabet = Alphabet.of_size(2)
-    law = BlockLaw(alphabet, 1, {(0,): 1.0})
+    law = BlockLaw(alphabet, 1, [1.0, 0.0])
     with pytest.raises(TypeError):
         tv_distance(Distribution.uniform(alphabet), law)
 
@@ -204,6 +207,49 @@ def test_product_block_law_marginalizes_back():
 def test_block_law_validation():
     alphabet = Alphabet.of_size(2)
     with pytest.raises(ValueError, match="sum"):
-        BlockLaw(alphabet, 1, {(0,): 0.9})
-    with pytest.raises(ValueError, match="word"):
-        BlockLaw(alphabet, 2, {(0, 5): 1.0})
+        BlockLaw(alphabet, 1, [0.9, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        BlockLaw(alphabet, 2, [1.0, 0.0])
+
+
+# ------------------------------------------------------ dense word order
+
+
+@st.composite
+def dense_law_case(draw):
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k**m, max_size=k**m)))
+    raw[draw(st.integers(0, k**m - 1))] += 1.0  # keep the total positive
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return k, m, raw / raw.sum(), p / p.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_law_case())
+def test_dense_block_law_matches_itertools_product_reference(case):
+    k, m, masses, p_masses = case
+    alphabet = Alphabet.of_size(k)
+    law = BlockLaw(alphabet, m, masses)
+    p = Distribution(alphabet, p_masses)
+    words = list(itertools.product(range(k), repeat=m))
+    reference = dict(zip(words, masses))
+    for word in words:
+        assert law.mass(word) == reference[word]
+    for j in range(m):
+        expected = [math.fsum(v for w, v in reference.items() if w[j] == s) for s in range(k)]
+        np.testing.assert_allclose(law.marginal(j).masses, expected, rtol=0, atol=1e-15)
+    product = [math.prod(p.masses[s] for s in w) for w in words]
+    product = np.array(product) / math.fsum(product)
+    block = product_block_law(p, m)
+    np.testing.assert_allclose([block.mass(w) for w in words], product, rtol=0, atol=1e-15)
+    expected_tv = 0.5 * math.fsum(abs(reference[w] - block.mass(w)) for w in words)
+    assert tv_distance(law, block) == pytest.approx(expected_tv, rel=0, abs=1e-15)
+
+
+def test_word_index_rejects_words_off_the_alphabet():
+    law = product_block_law(Distribution.uniform(Alphabet.of_size(3)), 2)
+    assert law.mass((2, 0)) == law.masses[6]
+    for word in [(0, 3), (-1, 0), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            law.mass(word)
