@@ -30,6 +30,7 @@ import numpy as np
 from .rng import stream
 from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, tv_distance, word_index
 from .tilting import (
+    InfeasibleConstraintError,
     MomentFunction,
     open_window_mask,
     solve_moment_equality,
@@ -210,7 +211,7 @@ def _conditioned_draws(
     else:
         solution = solve_moment_equality(p, h, [0.5 * (lo + hi)])
         if not solution.feasible:
-            raise ValueError(f"window midpoint is not reachable by a tilt: {solution.diagnostic}")
+            raise InfeasibleConstraintError(f"window midpoint is not reachable by a tilt: {solution.diagnostic}")
         proposal = solution.tilted
         lam = float(solution.multiplier[0])
         logz = solution.log_partition
@@ -336,7 +337,7 @@ def window_sweep(
 
     target = solve_moment_equality(p, h, [alpha])
     if not target.feasible:
-        raise ValueError(f"target {alpha} is not reachable by a tilt: {target.diagnostic}")
+        raise InfeasibleConstraintError(f"target {alpha} is not reachable by a tilt: {target.diagnostic}")
     product = product_block_law(target.tilted, m)
 
     points = []

@@ -8,11 +8,10 @@ exponential tilt with multiplier ``lam`` is
 
 and the I-projection of P onto a constraint set {Q : E_Q[h] = alpha}
 (or a one-dimensional halfspace {E_Q[h] >= alpha}) is the unique tilt
-meeting the constraint.  The multiplier is found by Newton's method on
-the strictly convex dual lam -> M(lam) - lam . alpha, whose gradient is
-the tilted mean of h and whose Hessian is the tilted covariance; in one
-dimension a bracketing bisection on the monotone mean map guarantees
-convergence even when Newton stalls.
+meeting the constraint.  One Levenberg-damped Newton iteration, the same
+for every dimension d, minimises the strictly convex dual
+lam -> M(lam) - lam . alpha.  Targets off the moment hull fail a per-axis
+range check, or (d >= 2) give a separating direction from the iteration.
 
 Sign convention: the tilt density uses exp(+lam . h).  Raising a mean
 above the baseline mean therefore yields a positive multiplier.
@@ -24,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .simplex import Alphabet, Distribution, LOG_FLOOR, kl_divergence
 
@@ -44,10 +42,17 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-MAX_NEWTON_ITERS = 100
+MAX_NEWTON_ITERS = 200
 # Targets closer to the hull boundary than this relative margin are treated
 # as boundary points: no finite multiplier reaches them.
 HULL_MARGIN = 1e-9
+# Levenberg damping of the dual Newton step (More 1978, LNM 630), in units of
+# each coordinate's squared value span: its first value, its floor, and the
+# factors by which an accepted step divides it and a rejected step multiplies it.
+DAMPING_START = 1e-3
+DAMPING_FLOOR = 1e-14
+DAMPING_DECREASE = 3.0
+DAMPING_INCREASE = 4.0
 
 
 class InfeasibleConstraintError(ValueError):
@@ -150,9 +155,13 @@ class TiltSolution:
     """Result of an I-projection / moment solve.
 
     ``status`` is "interior" (the baseline already meets the constraint,
-    multiplier 0), "active" (a genuine tilt), or "boundary-infeasible"
-    (the target is outside or on the moment hull boundary and no finite
-    multiplier exists; ``tilted`` is then None and ``diagnostic`` says why).
+    multiplier 0), "active" (a genuine tilt, ``residual`` at most
+    ``RESIDUAL_TOL``), or "boundary-infeasible" (the target is outside or
+    on the moment hull boundary and no finite multiplier exists;
+    ``tilted`` is then None and ``diagnostic`` says why).  A target within
+    ``HULL_MARGIN`` of a coordinate's value range is a boundary point; for
+    d >= 2 so is a target that a unit vector u separates from the values
+    up to the margins, max_x u . (h(x) - target) <= max_j |u_j| margin_j.
     """
 
     multiplier: np.ndarray
@@ -213,43 +222,26 @@ def moment_map(p: Distribution, h: MomentFunction, lam) -> np.ndarray:
     return q.masses @ h.table
 
 
-def _tilted_covariance(p: Distribution, h: MomentFunction, lam) -> np.ndarray:
-    q = tilt(p, h, lam).masses
-    mean = q @ h.table
-    centered = h.table - mean
-    return (centered * q[:, None]).T @ centered
+def _centred_dual(log_p: np.ndarray, shifted: np.ndarray, lam: np.ndarray):
+    """The dual f(lam) = ln sum_x p(x) exp(lam . (h(x) - alpha)), its gradient
+    (the tilted mean of h - alpha), its Hessian (the tilted covariance of h)
+    and the rounding level of f; None when a score is not finite.
 
-
-def _interior_margins(h: MomentFunction) -> np.ndarray:
-    span = h.table.max(axis=0) - h.table.min(axis=0)
-    return HULL_MARGIN * span
-
-
-def _in_hull(h: MomentFunction, point: np.ndarray) -> bool:
-    """Is ``point`` a convex combination of the rows of the value table?"""
-    k, d = h.table.shape
-    a_eq = np.vstack([h.table.T, np.ones((1, k))])
-    b_eq = np.concatenate([point, [1.0]])
-    res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return bool(res.status == 0)
-
-
-def _strictly_inside_hull(h: MomentFunction, alpha: np.ndarray) -> bool:
-    margins = _interior_margins(h)
-    if h.dimension == 1:
-        lo, hi = h.table[:, 0].min(), h.table[:, 0].max()
-        return bool(lo + margins[0] < alpha[0] < hi - margins[0])
-    if not _in_hull(h, alpha):
-        return False
-    # Axis probes: the target must stay in the hull after a small nudge in
-    # every coordinate direction.
-    for j in range(h.dimension):
-        for sign in (-1.0, 1.0):
-            probe = alpha.copy()
-            probe[j] += sign * margins[j]
-            if not _in_hull(h, probe):
-                return False
-    return True
+    Centring h at alpha keeps the scores free of the cancellation between
+    ln p(x) and lam . h(x) that an uncentred dual suffers at large |lam|.
+    """
+    scores = log_p + shifted @ lam
+    if not np.all(np.isfinite(scores)):
+        return None
+    top = scores.max()
+    weights = np.exp(scores - top)
+    total = weights.sum()
+    q = weights / total
+    grad = q @ shifted
+    centred = shifted - grad
+    cov = (centred * q[:, None]).T @ centred
+    rounding = 8 * np.finfo(float).eps * float((np.abs(log_p) + np.abs(shifted) @ np.abs(lam)).max())
+    return top + math.log(total), grad, cov, rounding
 
 
 def _solution_at(p: Distribution, h: MomentFunction, lam: np.ndarray, alpha: np.ndarray, status: str) -> TiltSolution:
@@ -266,7 +258,7 @@ def _solution_at(p: Distribution, h: MomentFunction, lam: np.ndarray, alpha: np.
     )
 
 
-def _infeasible(alpha: np.ndarray, diagnostic: str) -> TiltSolution:
+def _infeasible(alpha: np.ndarray) -> TiltSolution:
     return TiltSolution(
         multiplier=np.full_like(np.atleast_1d(alpha), np.nan),
         log_partition=math.nan,
@@ -274,81 +266,82 @@ def _infeasible(alpha: np.ndarray, diagnostic: str) -> TiltSolution:
         divergence=math.inf,
         status="boundary-infeasible",
         residual=math.inf,
-        diagnostic=diagnostic,
+        diagnostic="target is outside (or on the boundary of) the convex hull of the moment values",
     )
-
-
-def _bisect_scalar(p: Distribution, h: MomentFunction, alpha: float) -> np.ndarray:
-    """Bracket by doubling, then bisect the monotone scalar mean map."""
-    lo, hi = -1.0, 1.0
-    for _ in range(120):
-        if moment_map(p, h, [lo])[0] < alpha:
-            break
-        lo *= 2.0
-    for _ in range(120):
-        if moment_map(p, h, [hi])[0] > alpha:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if moment_map(p, h, [mid])[0] < alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            break
-    return np.array([0.5 * (lo + hi)])
 
 
 def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolution:
     """Tilt ``p`` so that the tilted mean of h equals ``alpha``.
 
-    Newton iteration on the convex dual from the zero multiplier, with step
-    halving whenever the residual fails to decrease; for scalar h a
-    bracketing bisection fallback guarantees convergence.  Targets outside
-    (or on the boundary of) the convex hull of the value table get status
-    "boundary-infeasible" instead of a solution.
+    A target within ``HULL_MARGIN`` (relative) of either end of some
+    coordinate's value range is "boundary-infeasible" at once; for scalar h
+    that is the whole hull test.  Otherwise a Levenberg-damped Newton
+    iteration minimises the centred dual from the zero multiplier with the
+    step (Cov + mu D)^-1 (alpha - E h), D the diagonal of squared value
+    spans (mu I in span units).  A step is accepted when the dual
+    does not rise, or when it is flat to rounding and the residual falls;
+    mu then shrinks, and grows on a rejection.  The iteration runs until
+    the residual stops falling, and a solve that ends with residual at most
+    ``RESIDUAL_TOL`` is "active".
+
+    For d >= 2 a target on or beyond a slanted face of the hull leaves the
+    iteration unconverged, with the multiplier running off along the
+    face's outer normal.  The target is "boundary-infeasible" when the
+    multiplier's direction, the negative residual or the last accepted
+    step gives a unit vector u with max_x u . (h(x) - alpha) <=
+    max_j |u_j| margin_j: no value lies further than the margin past alpha
+    along u.  Failing that, the solve raises ``SolverError``.
     """
     _require_positive(p)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (h.dimension,):
         raise ValueError(f"target has shape {alpha.shape}, expected ({h.dimension},)")
-    if not _strictly_inside_hull(h, alpha):
-        return _infeasible(alpha, "target is outside (or on the boundary of) the convex hull of the moment values")
+    lo, hi = h.table.min(axis=0), h.table.max(axis=0)
+    margins = HULL_MARGIN * (hi - lo)
+    if not np.all((lo + margins < alpha) & (alpha < hi - margins)):
+        return _infeasible(alpha)
 
     lam = np.zeros(h.dimension)
-    residual_vec = moment_map(p, h, lam) - alpha
-    if np.linalg.norm(residual_vec) <= RESIDUAL_TOL:
+    if np.linalg.norm(moment_map(p, h, lam) - alpha) <= RESIDUAL_TOL:
         return _solution_at(p, h, lam, alpha, "interior")
 
-    best = np.linalg.norm(residual_vec)
+    log_p = np.log(p.masses)
+    shifted = h.table - alpha
+    damping_scale = np.diag((hi - lo) ** 2)
+    f, grad, cov, rounding = _centred_dual(log_p, shifted, lam)
+    norm = float(np.linalg.norm(grad))
+    mu = DAMPING_START
+    step = lam
     for _ in range(MAX_NEWTON_ITERS):
-        cov = _tilted_covariance(p, h, lam)
-        try:
-            step = np.linalg.solve(cov, -residual_vec)
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(cov + 1e-12 * np.eye(h.dimension), -residual_vec)
-        # An infinite step (vanishing tilted variance) fails; bisection takes over.
-        scale = 1.0
-        for _ in range(60):
-            cand = lam + scale * step
-            if np.all(np.isfinite(cand)):
-                cand_res = moment_map(p, h, cand) - alpha
-                if np.linalg.norm(cand_res) < best:
-                    lam, residual_vec, best = cand, cand_res, np.linalg.norm(cand_res)
-                    break
-            scale *= 0.5
-        else:
+        trial = np.linalg.solve(cov + mu * damping_scale, -grad)
+        candidate = _centred_dual(log_p, shifted, lam + trial)
+        accepted = falls = False
+        if candidate is not None:
+            new_f, new_grad, _, new_rounding = candidate
+            new_norm = float(np.linalg.norm(new_grad))
+            falls = new_norm < norm
+            accepted = new_f <= f or (new_f - f <= max(rounding, new_rounding) and falls)
+        if norm <= RESIDUAL_TOL and not (accepted and falls):
             break
-        if best <= RESIDUAL_TOL:
-            return _solution_at(p, h, lam, alpha, "active")
+        if accepted:
+            lam, step = lam + trial, trial
+            (f, grad, cov, rounding), norm = candidate, new_norm
+            mu = max(mu / DAMPING_DECREASE, DAMPING_FLOOR)
+        else:
+            mu *= DAMPING_INCREASE
 
-    if h.dimension == 1:
-        lam = _bisect_scalar(p, h, float(alpha[0]))
-        if np.linalg.norm(moment_map(p, h, lam) - alpha) <= RESIDUAL_TOL:
-            return _solution_at(p, h, lam, alpha, "active")
+    if norm <= RESIDUAL_TOL:
+        solution = _solution_at(p, h, lam, alpha, "active")
+        if solution.residual <= RESIDUAL_TOL:
+            return solution
+    for direction in (lam, -grad, step):
+        length = np.linalg.norm(direction)
+        if length > 0:
+            u = direction / length
+            if (shifted @ u).max() <= (np.abs(u) * margins).max():
+                return _infeasible(alpha)
     raise SolverError(
-        f"moment solve did not reach residual {RESIDUAL_TOL} (best {best:.3e}); "
+        f"moment solve did not reach residual {RESIDUAL_TOL} (best {norm:.3e}); "
         "the target may lie on or near the boundary of the moment hull, or the "
         f"smallest baseline mass ({p.masses.min():.3e}) may be too small to tilt"
     )

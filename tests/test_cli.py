@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import tiltlab
+from tiltlab import tilting
 from tiltlab.cli import main
 from tiltlab.experiments import _chi2_quantile
 from tiltlab.reports import (
@@ -216,7 +217,10 @@ def test_exit_1_when_a_check_fails(tmp_path):
     assert not all(c["passed"] for c in raw["checks"])
 
 
-def test_solver_failure_exits_3_on_one_line(capsys, tmp_path):
+def test_solver_failure_exits_3_on_one_line(capsys, tmp_path, monkeypatch):
+    # The damped solve reaches this target in a few dozen steps; a budget of
+    # one step leaves it short, and 0.006 inside the hull no certificate fires.
+    monkeypatch.setattr(tilting, "MAX_NEWTON_ITERS", 1)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "experiment": "theorem1",
@@ -231,6 +235,22 @@ def test_solver_failure_exits_3_on_one_line(capsys, tmp_path):
     # The coordinates x and x^2 are independent; the tiny baseline mass is the cause.
     assert "linearly dependent" not in captured.err
     assert "smallest baseline mass (1.000e-50)" in captured.err
+
+
+@pytest.mark.parametrize("experiment", ["dice", "theorem1"])
+def test_target_just_past_a_slanted_face_exits_2(experiment, capsys, tmp_path):
+    # (0.5 + 1e-8)(1, 1) is outside the triangle's face x + y = 1 but inside
+    # both coordinate ranges: a feasibility error, not a solver failure.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "experiment": experiment,
+        "baseline": {"kind": "uniform", "k": 3},
+        "constraint": {"kind": "equality", "h": [[0, 0], [1, 0], [0, 1]], "target": [0.50000001, 0.50000001]},
+    }))
+    assert main([experiment, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "convex hull" in captured.err
 
 
 def test_threads_flag_and_config_key_are_rejected(capsys, tmp_path):
@@ -259,7 +279,7 @@ def test_exact_workloads_match_benchmark_reference_tables(workload, tmp_path):
         np.testing.assert_allclose(tables[name]["rows"], ref["rows"], rtol=0, atol=1e-12)
 
 
-# ------------------------------------------------------------ scipy.stats-free
+# ------------------------------------------------ scipy.stats- and optimize-free
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -267,18 +287,29 @@ def test_chi2_quantile_equals_scipy(k):
     assert _chi2_quantile(0.95, k - 1) == stats.chi2.ppf(0.95, k - 1)
 
 
-def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
-    # A fresh interpreter: this test process has imported scipy.stats itself.
+def test_cli_never_imports_scipy_stats_integrate_or_optimize(tmp_path):
+    # A fresh interpreter: this test process has imported scipy.stats and
+    # scipy.optimize itself.  The runs cover the sampler (gsm,
+    # dice-concentration), the scalar solve (dice) and the d = 2 solve with
+    # its hull test (theorem1 on the exact-die-2d workload's config).
     configs = {
         "gsm": {"experiment": "gsm"},
         "dice-concentration": {"experiment": "dice-concentration", "samples": 20000},
+        "dice": {"experiment": "dice"},
+        "theorem1": {
+            "experiment": "theorem1",
+            "baseline": {"kind": "uniform", "k": 6},
+            "constraint": {"kind": "equality", "h": [[1, 0], [2, 1], [3, 0], [4, 1], [5, 0], [6, 1]], "target": [4.5, 0.5]},
+            "n_grid": [6, 12, 18, 24],
+            "m": 3,
+        },
     }
     script = """
 import json, sys
 import tiltlab.cli
 
 def loaded():
-    return [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+    return [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
 
 seen = {"import": [0, loaded()]}
 for name, config_path, out in json.loads(sys.argv[1]):
@@ -298,4 +329,4 @@ print(json.dumps(seen))
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     seen = json.loads(result.stdout.splitlines()[-1])
-    assert seen == {"import": [0, []], "gsm": [0, []], "dice-concentration": [0, []]}
+    assert seen == {"import": [0, []], **{name: [0, []] for name in configs}}

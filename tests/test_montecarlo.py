@@ -15,7 +15,7 @@ from tiltlab.montecarlo import (
     window_sweep,
 )
 from tiltlab.simplex import Alphabet, Distribution
-from tiltlab.tilting import MomentConstraint, MomentFunction
+from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction
 
 COIN = Distribution.bernoulli(0.5)
 COIN_H = MomentFunction.from_labels(COIN.alphabet)
@@ -162,6 +162,12 @@ def test_window_sweep_degenerate_weights_raise():
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
     with pytest.raises(LowEffectiveSampleError, match="effective sample size"):
         window_sweep(COIN, COIN_H, 0.75, schedule, [400], m=1, samples=10**5, seed=0)
+
+
+def test_window_sweep_unreachable_target_is_a_typed_infeasibility():
+    schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
+    with pytest.raises(InfeasibleConstraintError, match="not reachable by a tilt"):
+        window_sweep(COIN, COIN_H, 1.0, schedule, [25], m=1, samples=2000, seed=0)
 
 
 def test_window_sweep_fixed_window_plateaus():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from tiltlab.simplex import Alphabet, Distribution, entropy, kl_divergence, tv_distance
 from tiltlab.tilting import (
@@ -29,6 +32,75 @@ def random_case(k: int, d: int = 1):
     h = MomentFunction(p.alphabet, RNG.normal(size=(k, d)))
     lam = RNG.normal(size=d)
     return p, h, lam
+
+
+@st.composite
+def solve_cases(draw):
+    """A Dirichlet baseline (some masses down to 1e-300), a random k x d value
+    table and a target inside the hull, far outside it, or within 1e-8 to
+    1e-3 of the segment between two value rows."""
+    k, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = rng.dirichlet(np.ones(k))
+    tiny = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    tiny[np.argmax(masses)] = False
+    masses[tiny] = 10.0 ** -rng.uniform(5, 300, tiny.sum())
+    table = rng.normal(size=(k, d))
+    span = table.max(axis=0) - table.min(axis=0)
+    kind = draw(st.sampled_from(["inside", "outside", "edge"]))
+    if kind == "inside":
+        alpha = rng.dirichlet(np.ones(k)) @ table
+    elif kind == "outside":
+        alpha = table.mean(axis=0) + 2 * span * rng.normal(size=d)
+    else:
+        a, b = rng.choice(k, 2, replace=False)
+        t = rng.uniform()
+        u = rng.normal(size=d)
+        alpha = t * table[a] + (1 - t) * table[b] + 10 ** -rng.uniform(3, 8) * span * u / np.linalg.norm(u)
+    p = Distribution(Alphabet.of_size(k), masses / masses.sum())
+    return p, MomentFunction(p.alphabet, table), alpha
+
+
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def hull_depth(table: np.ndarray, alpha: np.ndarray) -> float:
+    """Signed depth of alpha in the hull of the rows of ``table``, by linprog,
+    in units of each coordinate's span: minus the l-inf distance to the hull
+    outside it, and inside it the least distance the hull extends from alpha
+    along the 2d coordinate directions."""
+    k, d = table.shape
+    span = table.max(axis=0) - table.min(axis=0)
+    weights_sum = np.hstack([np.ones((1, k)), [[0.0]]])
+    # Outside: min t subject to |table^T w - alpha| <= t span, w in the simplex.
+    res = linprog(
+        np.r_[np.zeros(k), 1.0],
+        A_ub=np.vstack([np.hstack([table.T, -span[:, None]]), np.hstack([-table.T, -span[:, None]])]),
+        b_ub=np.r_[alpha, -alpha],
+        A_eq=weights_sum, b_eq=[1.0], bounds=(0, None), method="highs", options=_HIGHS,
+    )
+    if res.fun > 0:
+        return -res.fun
+    depth = math.inf
+    for j in range(d):
+        for sign in (-1.0, 1.0):
+            # Inside: max t subject to table^T w = alpha + t sign span_j e_j.
+            e = np.zeros((d, 1))
+            e[j] = sign * span[j]
+            res = linprog(
+                np.r_[np.zeros(k), -1.0],
+                A_eq=np.vstack([np.hstack([table.T, -e]), weights_sum]), b_eq=np.r_[alpha, 1.0],
+                bounds=(0, None), method="highs", options=_HIGHS,
+            )
+            depth = min(depth, -res.fun)
+    return depth
+
+
+def solve_or_error(p, h, alpha):
+    try:
+        return solve_moment_equality(p, h, alpha)
+    except SolverError:
+        return None
 
 
 # ------------------------------------------------------------- construction
@@ -168,10 +240,16 @@ def test_die_mean_exactly_six_boundary_infeasible():
     assert solve_moment_equality(DIE, DIE_H, [6.0]).status == "boundary-infeasible"
 
 
-def test_dual_identity():
-    for target in (2.0, 3.0, 4.5, 5.5):
-        sol = solve_moment_equality(DIE, DIE_H, [target])
-        mean = sol.tilted.masses @ DIE_H.table
+@settings(max_examples=100, deadline=None)
+@given(solve_cases())
+def test_dual_identity(case):
+    p, h, alpha = case
+    solved = [(DIE_H, solve_moment_equality(DIE, DIE_H, [target])) for target in (2.0, 3.0, 4.5, 5.5)]
+    random_sol = solve_or_error(p, h, alpha)
+    if random_sol is not None and random_sol.status == "active":
+        solved.append((h, random_sol))
+    for stat, sol in solved:
+        mean = sol.tilted.masses @ stat.table
         lhs = sol.divergence
         rhs = float(sol.multiplier @ mean) - sol.log_partition
         assert abs(lhs - rhs) <= 1e-9
@@ -197,9 +275,9 @@ def test_random_scalar_targets_converge():
         assert sol.residual <= 1e-10
 
 
-def test_tiny_baseline_mass_falls_back_to_bisection():
-    # The tilted variance vanishes on the way to lambda ~ -114, so the Newton
-    # step is infinite; the solve must fall through to bisection, not raise.
+def test_tiny_baseline_mass_solves_in_one_loop():
+    # The tilted variance vanishes on the way to lambda ~ -114, so undamped
+    # Newton steps blow up; the damped step must still reach the root.
     p = Distribution(Alphabet.of_size(3), np.array([1e-50, 0.5, 0.5]))
     sol = solve_moment_equality(p, MomentFunction.from_labels(p.alphabet), [1.5])
     assert sol.status == "active"
@@ -207,15 +285,51 @@ def test_tiny_baseline_mass_falls_back_to_bisection():
     assert sol.multiplier[0] == pytest.approx(-114.436, abs=1e-3)
 
 
-def test_near_degenerate_d2_solve_raises_solver_error():
+@pytest.mark.parametrize(
+    "mass,target,multiplier",
+    [(1e-50, (1.51, 2.55), (-280.303, 55.282)), (1e-300, (1.9, 4.0), (-1720.938, 343.910))],
+    ids=["1e-50", "1e-300"],
+)
+def test_near_degenerate_d2_solve(mass, target, multiplier):
     # The target is interior to the hull of (x, x^2) on 1..3, but the tiny
-    # first mass leaves Newton stuck and d > 1 has no bisection fallback.
-    p = Distribution(Alphabet.of_size(3), np.array([1e-50, 0.5, 0.5]))
+    # first mass puts the multiplier far out, where undamped Newton stalls.
+    p = Distribution(Alphabet.of_size(3), np.array([mass, 0.5, 0.5]))
     h = MomentFunction(p.alphabet, np.array([[1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
-    with pytest.raises(SolverError, match="did not reach residual"):
-        solve_moment_equality(p, h, [1.51, 2.55])
+    sol = solve_moment_equality(p, h, target)
+    assert sol.status == "active"
+    assert sol.residual <= 1e-10
+    np.testing.assert_allclose(sol.multiplier, multiplier, rtol=0, atol=1e-3)
     assert issubclass(SolverError, RuntimeError)
     assert not issubclass(SolverError, ValueError)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 3e-8, 1e-7, 1e-5])
+def test_targets_just_past_a_slanted_face_are_boundary_infeasible(eps):
+    # (0.5 + eps)(1, 1) lies outside the face x + y = 1 of the triangle but
+    # inside both coordinate ranges, so only the separating certificate can
+    # decide it.  A hull test whose feasibility tolerance is wider than the
+    # margin (an LP at about 1e-7) takes the first two for interior points.
+    p = Distribution.uniform(Alphabet.of_size(3))
+    h = MomentFunction(p.alphabet, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert solve_moment_equality(p, h, (0.5 + eps) * np.ones(2)).status == "boundary-infeasible"
+    inside = solve_moment_equality(p, h, (0.5 - eps) * np.ones(2))
+    assert inside.status == "active"
+    assert inside.residual <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_cases())
+def test_hull_verdicts_match_linprog_reference(case):
+    p, h, alpha = case
+    depth = hull_depth(h.table, alpha)
+    sol = solve_or_error(p, h, alpha)
+    if abs(depth) > 1e-6:
+        assert sol is not None
+        assert sol.status == ("active" if depth > 0 else "boundary-infeasible")
+    elif sol is not None:
+        assert sol.status in ("interior", "active", "boundary-infeasible")
+    if sol is not None and sol.status == "active":
+        assert sol.residual <= 1e-10
 
 
 # ---------------------------------------------------------------- i_project
