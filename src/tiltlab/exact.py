@@ -18,6 +18,9 @@ These are the verification oracles against which both the tilt solver's
 limit law and the Monte Carlo samplers are checked.  Everything here is
 deterministic and exact up to floating point; all weights are accumulated
 in log-domain because type probabilities decay exponentially.
+
+A set of types is an integer count table with one type per row;
+:class:`TypeClass` is one type, the value of the per-type functions.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .rng import stream
-from .simplex import Alphabet, BlockLaw, Distribution, kl_divergence, tv_distance
+from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, product_block_law, tv_distance
 from .tilting import MomentConstraint, i_project, open_window_mask
 
 __all__ = [
@@ -61,6 +64,10 @@ WEIGHT_SUM_TOL = 1e-10
 # Tolerance for deciding whether a lattice point satisfies a constraint;
 # strict enough that no type one lattice step away is ever misclassified.
 LATTICE_TOL = 1e-12
+SANOV_SLACK_TOL = 1e-9  # rounding slack of each side of the Sanov sandwich, in nats
+COUPLING_TV_TOL = 1e-12  # rounding slack of the collision-coupling TV bound
+FEASIBLE_PROBE_LIMIT = 400  # largest size probed for the smallest feasible n
+TIE_TOL = 1e-9  # divergence resolution of the kl_gap tie rule, in nats
 # Rows per block of the type table: keeps its temporaries to a few hundred KiB,
 # so enumeration leaves the peak resident set unchanged.
 _BLOCK_ROWS = 1 << 12
@@ -109,27 +116,31 @@ class TypeClass:
 class ConditionalWeights:
     """The conditional law of the type given that it satisfies a constraint.
 
-    ``weights[i]`` is Pr(type = types[i] | constraint holds); they sum to 1.
-    ``event_log_prob`` is the log-probability of the conditioning event
-    itself under the baseline.
+    ``types`` is a read-only (T, k) integer count table: row i holds the
+    symbol counts of the i-th feasible type of size n, in lexicographic
+    order.  ``weights[i]`` is Pr(type = types[i] | constraint holds); they
+    sum to 1.  ``event_log_prob`` is the log-probability of the
+    conditioning event itself under the baseline.
     """
 
     constraint: MomentConstraint
     n: int
-    types: tuple[TypeClass, ...]
+    types: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     event_log_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (len(self.types),):
-            raise ValueError("one weight per type required")
+        types = np.array(self.types)
+        weights = np.array(self.weights, dtype=float)
+        if types.shape != (len(weights), self.constraint.function.alphabet.size):
+            raise ValueError("one count row of length k per weight required")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1")
-        weights = weights.copy()
+        types.flags.writeable = False
         weights.flags.writeable = False
+        object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -229,28 +240,37 @@ def _log_probs(counts: np.ndarray, n: int, p: Distribution) -> np.ndarray:
     return coeff + (counts * np.log(p.masses)).sum(axis=1)
 
 
+def _divergences(freq: np.ndarray, p: Distribution) -> np.ndarray:
+    """D(q||p) in nats of each row q of frequencies, with 0 ln 0 = 0;
+    ``p`` must be strictly positive."""
+    return (freq * (np.log(np.where(freq > 0, freq, 1.0)) - np.log(p.masses))).sum(axis=1)
+
+
 def type_log_prob(t: TypeClass, p: Distribution) -> float:
     """Exact multinomial log-probability of observing type ``t`` under ``p``."""
+    if t.alphabet.labels != p.alphabet.labels:
+        raise ValueError("type and baseline live on different alphabets")
     if not p.strictly_positive:
         raise ValueError("baseline law must be strictly positive")
     return float(_log_probs([t.counts], t.n, p)[0])
 
 
-def sanov_bounds_check(t: TypeClass, p: Distribution, slack_tol: float = 1e-9) -> BoundCheck:
+def sanov_bounds_check(t: TypeClass, p: Distribution) -> BoundCheck:
     """Check the type-probability sandwich, in log-domain.
 
         (n+1)^(-k) exp(-n D(Q||P))  <=  Pr(type = Q)  <=  exp(-n D(Q||P))
 
     where Q is the frequency view of ``t``.  Slacks are the log-scale
-    margins by which each inequality holds.
+    margins by which each inequality holds; a side passes when its slack
+    is at least -``SANOV_SLACK_TOL``.
     """
     n, k = t.n, t.alphabet.size
     log_prob = type_log_prob(t, p)
-    divergence = kl_divergence(t.frequency(), p)
+    divergence = _divergences(np.array([t.counts], dtype=float) / n, p)[0]
     upper_slack = -n * divergence - log_prob
     lower_slack = log_prob - (-k * math.log(n + 1) - n * divergence)
     return BoundCheck(
-        passed=bool(upper_slack >= -slack_tol and lower_slack >= -slack_tol),
+        passed=bool(upper_slack >= -SANOV_SLACK_TOL and lower_slack >= -SANOV_SLACK_TOL),
         upper_slack=float(upper_slack),
         lower_slack=float(lower_slack),
     )
@@ -287,23 +307,18 @@ def type_satisfies(t: TypeClass, c: MomentConstraint) -> bool:
     return bool(_types_mask([t.counts], t.n, c)[0])
 
 
-def mean_satisfies(mean: np.ndarray | float, c: MomentConstraint) -> bool:
-    """Constraint test on one moment value, by the oracle's rule."""
-    return bool(_means_mask(np.atleast_1d(np.asarray(mean, dtype=float))[None, :], c)[0])
-
-
 def conditional_weights(
     p: Distribution,
     c: MomentConstraint,
     n: int,
     cap: int = DEFAULT_TYPE_CAP,
-    probe_limit: int = 400,
 ) -> ConditionalWeights:
     """Exact Sanov weights: the multinomial law of the type, conditioned on
     the constraint and renormalized in log-domain.
 
     Raises :class:`EmptyConstraintError` when no size-n type is feasible,
-    naming the smallest feasible size below ``probe_limit`` if one exists.
+    naming the smallest feasible size up to ``FEASIBLE_PROBE_LIMIT`` if one
+    exists.
     """
     if not p.strictly_positive:
         raise ValueError("baseline law must be strictly positive")
@@ -312,7 +327,7 @@ def conditional_weights(
     rows = np.concatenate([block[_types_mask(block, n, c)] for block in _type_table(p.alphabet.size, n, cap)])
     if not len(rows):
         hint = ""
-        smallest = _smallest_feasible_n(p.alphabet, c, probe_limit)
+        smallest = _smallest_feasible_n(p.alphabet, c)
         if smallest is not None:
             hint = f"; smallest feasible size is n = {smallest}"
         raise EmptyConstraintError(f"no type of size {n} satisfies the constraint{hint}")
@@ -320,17 +335,11 @@ def conditional_weights(
     total = logsumexp(log_probs)
     weights = np.exp(log_probs - total)
     weights /= weights.sum()
-    return ConditionalWeights(
-        constraint=c,
-        n=n,
-        types=tuple(TypeClass(p.alphabet, counts) for counts in rows.tolist()),
-        weights=weights,
-        event_log_prob=float(total),
-    )
+    return ConditionalWeights(constraint=c, n=n, types=rows, weights=weights, event_log_prob=float(total))
 
 
-def _smallest_feasible_n(alphabet: Alphabet, c: MomentConstraint, probe_limit: int) -> int | None:
-    for n in range(1, probe_limit + 1):
+def _smallest_feasible_n(alphabet: Alphabet, c: MomentConstraint) -> int | None:
+    for n in range(1, FEASIBLE_PROBE_LIMIT + 1):
         if type_space_size(alphabet.size, n) > 10**6:
             return None
         if any(_types_mask(block, n, c).any() for block in _type_table(alphabet.size, n)):
@@ -380,7 +389,7 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     return total[inverse]
 
 
-def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> BlockLaw:
+def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = DEFAULT_WORD_CAP) -> BlockLaw:
     """Exact law of the first m coordinates of a uniform sequence of type t.
 
     The mass of a word is prod_j (n_j)_{c_j} / (n)_m with c_j the word's
@@ -396,13 +405,11 @@ def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = 10**6) -> Blo
     return BlockLaw(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
 
 
-def hypergeometric_tv_check(t: TypeClass, m: int, tol: float = 1e-12) -> TvCheck:
+def hypergeometric_tv_check(t: TypeClass, m: int) -> TvCheck:
     """Check the collision-coupling bound TV <= m(m-1)/(2n) on type ``t``."""
-    from .simplex import product_block_law
-
     tv = tv_distance(hypergeometric_block_law(t, m), product_block_law(t.frequency(), m))
     bound = m * (m - 1) / (2 * t.n)
-    return TvCheck(passed=bool(tv <= bound + tol), tv=float(tv), bound=float(bound))
+    return TvCheck(passed=bool(tv <= bound + COUPLING_TV_TOL), tv=float(tv), bound=float(bound))
 
 
 def conditional_block_law(
@@ -422,11 +429,10 @@ def conditional_block_law(
 
 
 def _block_from_weights(weights: ConditionalWeights, m: int) -> BlockLaw:
-    alphabet = weights.types[0].alphabet
+    alphabet = weights.constraint.function.alphabet
     if m > weights.n:
         raise ValueError(f"block length {m} exceeds the sequence length {weights.n}")
-    rows = [t.counts for t in weights.types]
-    total = _hypergeometric_mixture(alphabet.size, rows, weights.weights, weights.n, m)
+    total = _hypergeometric_mixture(alphabet.size, weights.types, weights.weights, weights.n, m)
     return BlockLaw(alphabet, m, total / total.sum())
 
 
@@ -445,8 +451,6 @@ def convergence_sweep(
     envelope constant is fitted as the max of tv over the constant-free
     rate shape across the grid.
     """
-    from .simplex import product_block_law
-
     projection = i_project(p, c)
     if not projection.feasible:
         raise EmptyConstraintError(f"projection infeasible: {projection.diagnostic}")
@@ -459,7 +463,7 @@ def convergence_sweep(
         block = _block_from_weights(weights, m)
         tv = tv_distance(block, target_block)
         delta = n ** (-1.0 / 3.0)
-        dists = np.abs(np.array([t.counts for t in weights.types]) / n - star.masses).sum(axis=1)
+        dists = np.abs(weights.types / n - star.masses).sum(axis=1)
         bad_mass = float(weights.weights[dists > delta].sum())
         raw.append((n, tv, delta, bad_mass))
 
@@ -497,11 +501,13 @@ def kl_gap(
     each far lattice point is then shrunk along the segment toward the
     projection onto the L1 sphere of radius delta (the segment stays
     feasible by convexity and shrinking never increases the divergence), so
-    the returned value is a boundary-refined estimate, clamped at 0.
+    the returned value is a boundary-refined estimate, clamped at 0.  With
+    no feasible lattice point farther than delta the gap is ``inf``.
 
-    Raises :class:`NonUniqueProjectionError` when the scan finds a feasible
-    lattice point essentially tied with the minimal divergence but farther
-    than delta from the projection: the minimizer is then not unique at
+    Raises :class:`NonUniqueProjectionError` when the minimal divergence
+    over the feasible lattice is within ``TIE_TOL`` of D(P*||P) and some
+    feasible lattice point farther than delta from the projection is within
+    ``TIE_TOL`` of that minimum: the minimizer is then not unique at
     resolution delta.
     """
     if delta < 0:
@@ -518,33 +524,22 @@ def kl_gap(
     star = projection.tilted.masses
     d_star = projection.divergence
 
-    best = math.inf
-    min_seen = math.inf
-    tied_far = False
-    for t in enumerate_types(p.alphabet, grid_density, cap=cap):
-        if not type_satisfies(t, c):
-            continue
-        freq = np.array(t.counts, dtype=float) / grid_density
-        div = kl_divergence(Distribution(p.alphabet, freq / freq.sum()), p)
-        dist = float(np.abs(freq - star).sum())
-        if div < min_seen - 1e-9:
-            min_seen = div
-            tied_far = dist > delta
-        elif div <= min_seen + 1e-9 and dist > delta:
-            tied_far = True
-        if dist > delta:
-            # Boundary refinement: move toward the projection until the L1
-            # sphere of radius delta is reached.
-            shrink = delta / dist
-            q = star + shrink * (freq - star)
-            div_q = kl_divergence(Distribution(p.alphabet, q / q.sum()), p)
-            best = min(best, div_q - d_star)
-    if tied_far and min_seen <= d_star + 1e-9:
+    lowest = lowest_far = best = math.inf
+    for block in _type_table(p.alphabet.size, grid_density, cap):
+        freq = block[_types_mask(block, grid_density, c)] / grid_density
+        divs = _divergences(freq / freq.sum(axis=1, keepdims=True), p)
+        dists = np.abs(freq - star).sum(axis=1)
+        far = dists > delta
+        lowest = min(lowest, divs.min(initial=math.inf))
+        lowest_far = min(lowest_far, divs[far].min(initial=math.inf))
+        # Boundary refinement: move each far point toward the projection
+        # until the L1 sphere of radius delta is reached.
+        q = star + (delta / dists[far])[:, None] * (freq[far] - star)
+        best = min(best, (_divergences(q / q.sum(axis=1, keepdims=True), p) - d_star).min(initial=math.inf))
+    if lowest <= d_star + TIE_TOL and lowest_far <= lowest + TIE_TOL:
         raise NonUniqueProjectionError(
             "a feasible point at minimal divergence lies farther than delta from the projection"
         )
-    if math.isinf(best):
-        return math.inf
     return max(0.0, float(best))
 
 

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
-import jsonschema
-
 from . import __version__
 
 __all__ = [
@@ -92,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment {self.experiment} needs a nonempty n grid")
         if self.experiment == "cf-check" and not self.t_grid:
             raise ConfigError("cf-check needs a nonempty t grid")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.seed is None:
             raise ConfigError("a seed is required (default 0)")
 
@@ -290,4 +290,7 @@ def _schema() -> dict:
 
 def validate_report_dict(raw: dict) -> None:
     """Raise jsonschema.ValidationError if ``raw`` is not a valid report."""
+    # Imported here: no CLI run validates a report, so the CLI never pays for it.
+    import jsonschema
+
     jsonschema.validate(raw, _schema())

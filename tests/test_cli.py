@@ -237,6 +237,14 @@ def test_solver_failure_exits_3_on_one_line(capsys, tmp_path, monkeypatch):
     assert "smallest baseline mass (1.000e-50)" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cf_check_without_samples_exits_2_on_one_line(samples, capsys):
+    assert main(["cf-check", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be >= 1, got {samples}\n"
+
+
 @pytest.mark.parametrize("experiment", ["dice", "theorem1"])
 def test_target_just_past_a_slanted_face_exits_2(experiment, capsys, tmp_path):
     # (0.5 + 1e-8)(1, 1) is outside the triangle's face x + y = 1 but inside
@@ -279,7 +287,7 @@ def test_exact_workloads_match_benchmark_reference_tables(workload, tmp_path):
         np.testing.assert_allclose(tables[name]["rows"], ref["rows"], rtol=0, atol=1e-12)
 
 
-# ------------------------------------------------ scipy.stats- and optimize-free
+# ----------------------------- scipy.stats-, optimize- and jsonschema-free
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -287,9 +295,9 @@ def test_chi2_quantile_equals_scipy(k):
     assert _chi2_quantile(0.95, k - 1) == stats.chi2.ppf(0.95, k - 1)
 
 
-def test_cli_never_imports_scipy_stats_integrate_or_optimize(tmp_path):
-    # A fresh interpreter: this test process has imported scipy.stats and
-    # scipy.optimize itself.  The runs cover the sampler (gsm,
+def test_cli_never_imports_scipy_stats_integrate_optimize_or_jsonschema(tmp_path):
+    # A fresh interpreter: this test process has imported scipy.stats,
+    # scipy.optimize and jsonschema itself.  The runs cover the sampler (gsm,
     # dice-concentration), the scalar solve (dice) and the d = 2 solve with
     # its hull test (theorem1 on the exact-die-2d workload's config).
     configs = {
@@ -309,7 +317,7 @@ import json, sys
 import tiltlab.cli
 
 def loaded():
-    return [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
+    return [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize", "jsonschema") if m in sys.modules]
 
 seen = {"import": [0, loaded()]}
 for name, config_path, out in json.loads(sys.argv[1]):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -11,6 +11,7 @@ from tiltlab import exact
 from tiltlab.exact import (
     EmptyConstraintError,
     EnumerationCapError,
+    NonUniqueProjectionError,
     TypeClass,
     conditional_block_law,
     conditional_weights,
@@ -25,8 +26,8 @@ from tiltlab.exact import (
     type_satisfies,
     type_space_size,
 )
-from tiltlab.simplex import Alphabet, Distribution, product_block_law, tv_distance
-from tiltlab.tilting import MomentConstraint, MomentFunction
+from tiltlab.simplex import Alphabet, Distribution, kl_divergence, product_block_law, tv_distance
+from tiltlab.tilting import MomentConstraint, MomentFunction, i_project
 
 RNG = np.random.default_rng(40318)
 
@@ -105,7 +106,12 @@ def test_sanov_upper_bound_tight_for_point_type():
 def test_sanov_bounds_exhaustive_small(k, n):
     p = Distribution(Alphabet.of_size(k), RNG.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
     for t in enumerate_types(k, n):
-        assert sanov_bounds_check(t, p).passed
+        check = sanov_bounds_check(t, p)
+        assert check.passed
+        log_prob, divergence = type_log_prob(t, p), kl_divergence(t.frequency(), p)
+        assert check.upper_slack == pytest.approx(-n * divergence - log_prob, rel=0, abs=1e-12)
+        lower = log_prob + k * math.log(n + 1) + n * divergence
+        assert check.lower_slack == pytest.approx(lower, rel=0, abs=1e-12)
 
 
 def test_type_probabilities_sum_to_one():
@@ -120,7 +126,7 @@ def test_type_probabilities_sum_to_one():
 
 def test_conditional_weights_coin_n4():
     weights = conditional_weights(COIN, MEAN_AT_LEAST_3_4, 4)
-    table = {t.counts: w for t, w in zip(weights.types, weights.weights)}
+    table = {tuple(row): w for row, w in zip(weights.types.tolist(), weights.weights)}
     assert set(table) == {(1, 3), (0, 4)}
     assert table[(1, 3)] == pytest.approx(0.8, abs=1e-12)
     assert table[(0, 4)] == pytest.approx(0.2, abs=1e-12)
@@ -131,8 +137,8 @@ def test_conditional_weights_vacuous_constraint():
     vacuous = MomentConstraint(COIN_H, "halfspace", [0.0])
     weights = conditional_weights(COIN, vacuous, 6)
     assert len(weights.types) == 7
-    for t, w in zip(weights.types, weights.weights):
-        assert w == pytest.approx(math.exp(type_log_prob(t, COIN)), abs=1e-12)
+    for row, w in zip(weights.types.tolist(), weights.weights):
+        assert w == pytest.approx(math.exp(type_log_prob(TypeClass(COIN.alphabet, row), COIN)), abs=1e-12)
     assert weights.event_log_prob == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,7 +148,7 @@ def test_conditional_weights_single_feasible_type():
     c = MomentConstraint(h, "halfspace", [6.0])
     weights = conditional_weights(die, c, 5)
     assert len(weights.types) == 1
-    assert weights.types[0].counts == (0, 0, 0, 0, 0, 5)
+    assert weights.types[0].tolist() == [0, 0, 0, 0, 0, 5]
     assert weights.weights[0] == pytest.approx(1.0)
 
 
@@ -314,6 +320,73 @@ def test_kl_gap_validates_inputs():
         kl_gap(COIN, windowed, 0.1)
 
 
+def kl_gap_per_type_loop(p, c, delta, grid_density):
+    """kl_gap as one Distribution per lattice point, with the sequential tie rule."""
+    projection = i_project(p, c)
+    star = projection.tilted.masses
+    d_star = projection.divergence
+    best = min_seen = math.inf
+    tied_far = False
+    for t in enumerate_types(p.alphabet, grid_density):
+        if not type_satisfies(t, c):
+            continue
+        freq = np.array(t.counts, dtype=float) / grid_density
+        div = kl_divergence(Distribution(p.alphabet, freq / freq.sum()), p)
+        dist = float(np.abs(freq - star).sum())
+        if div < min_seen - 1e-9:
+            min_seen = div
+            tied_far = dist > delta
+        elif div <= min_seen + 1e-9 and dist > delta:
+            tied_far = True
+        if dist > delta:
+            q = star + delta / dist * (freq - star)
+            best = min(best, kl_divergence(Distribution(p.alphabet, q / q.sum()), p) - d_star)
+    if tied_far and min_seen <= d_star + 1e-9:
+        raise NonUniqueProjectionError("tie")
+    return math.inf if math.isinf(best) else max(0.0, best)
+
+
+@st.composite
+def kl_gap_problem(draw):
+    k = draw(st.integers(2, 3))
+    masses = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    p = Distribution(Alphabet.of_size(k), masses / masses.sum())
+    h = MomentFunction(p.alphabet, np.array(draw(st.permutations(range(k))), dtype=float))
+    grid_density = draw(st.integers(100, 200))
+    target = draw(st.floats(0.2, k - 1.2))
+    if draw(st.booleans()):
+        c = MomentConstraint(h, "halfspace", [target])
+    else:
+        # A target on the lattice, so some lattice point is feasible.
+        c = MomentConstraint(h, "equality", [round(target * grid_density) / grid_density])
+    delta = draw(st.one_of(st.sampled_from([1e-20, 1e-3]), st.floats(0.01, 1.5)))
+    return p, c, delta, grid_density
+
+
+# The solved P* = (0.2, 0.8) is a lattice point up to rounding, and the
+# rounding alone puts that point farther than delta = 1e-20: a tie.
+TIED = (Distribution.bernoulli(0.3), MomentConstraint(COIN_H, "halfspace", [0.8]), 1e-20, 200)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kl_gap_problem())
+@example(TIED)
+def test_kl_gap_matches_per_type_loop(problem):
+    def outcome(gap):
+        try:
+            return gap(*problem)
+        except NonUniqueProjectionError:
+            return "tie"
+
+    expected, got = outcome(kl_gap_per_type_loop), outcome(kl_gap)
+    if problem is TIED:
+        assert expected == "tie"
+    if expected == "tie" or got == "tie":
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_bad_mass_bounded_by_gap_envelope():
     # The conditional mass outside the delta ball obeys the concentration
     # envelope (n+1)^k exp(-n * gap(delta)) built from the divergence gap.
@@ -373,7 +446,12 @@ def assert_matches_per_type_loop(p: Distribution, c: MomentConstraint, n: int) -
     event = logsumexp(log_probs)
     reference = np.exp(log_probs - event)
     weights = conditional_weights(p, c, n)
-    assert weights.types == tuple(types)
+    table = np.concatenate(list(exact._type_table(p.alphabet.size, n)))
+    feasible = table[[type_satisfies(TypeClass(p.alphabet, row), c) for row in table.tolist()]]
+    assert weights.types.tolist() == [list(t.counts) for t in types] == feasible.tolist()
+    assert weights.types.dtype == feasible.dtype
+    with pytest.raises(ValueError, match="read-only"):
+        weights.types[0, 0] = 0
     np.testing.assert_allclose(weights.weights, reference / reference.sum(), rtol=0, atol=1e-15)
     assert weights.event_log_prob == pytest.approx(event, abs=1e-12)
 
@@ -432,8 +510,8 @@ def test_block_mixture_matches_per_type_hypergeometric_laws(p, c, n, m):
     block = exact._block_from_weights(weights, m)
     words = list(itertools.product(range(p.alphabet.size), repeat=m))
     mixture = np.zeros(len(words))
-    for t, w in zip(weights.types, weights.weights):
-        law = hypergeometric_block_law(t, m)
+    for row, w in zip(weights.types.tolist(), weights.weights):
+        law = hypergeometric_block_law(TypeClass(p.alphabet, row), m)
         mixture += w * np.array([law.mass(word) for word in words])
     mixture /= mixture.sum()
     np.testing.assert_allclose([block.mass(word) for word in words], mixture, rtol=0, atol=1e-15)
