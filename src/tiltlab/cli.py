@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conc = sub.add_parser("dice-concentration", help="entropy concentration of multinomial types")
     common(p_conc)
-    p_conc.add_argument("--big-n", dest="big_n", type=int, default=None, help="type size N (default 1000)")
+    p_conc.add_argument("--big-n", dest="block_size", metavar="BIG_N", type=int, default=None, help="type size N (default 1000)")
     p_conc.add_argument("--interval", type=_parse_pair, default=None, help="entropy interval lo,hi")
 
     p_ber = sub.add_parser("bernoulli", help="coin projection and exact convergence sweep")
@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gsm = sub.add_parser("gsm", help="two-moment conditioning of a Gaussian scale mixture")
     common(p_gsm)
-    p_gsm.add_argument("--targets", type=_parse_pair, default=None, help="target mean,variance")
-    p_gsm.add_argument("--epsilon", type=float, default=None)
+    p_gsm.add_argument("--targets", dest="gsm_targets", metavar="TARGETS", type=_parse_pair, default=None, help="target mean,variance")
+    p_gsm.add_argument("--epsilon", dest="gsm_epsilon", metavar="EPSILON", type=float, default=None)
     p_gsm.add_argument("--n", dest="gsm_n", type=int, default=None)
     p_gsm.add_argument("--block", dest="gsm_block", type=int, default=None)
 
@@ -146,24 +146,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         base = config_from_dict({**config_to_dict(base), **raw})
 
     overrides: dict = {}
-    for key in ("seed", "samples", "format", "m", "n_grid", "t_grid", "method", "exponent", "amplitude"):
+    # Flags whose destination is named after the config field they set.
+    for key in (
+        "seed", "samples", "format", "m", "n_grid", "t_grid", "method", "exponent", "amplitude",
+        "interval", "block_size", "gsm_targets", "gsm_epsilon", "gsm_n", "gsm_block",
+    ):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     if getattr(args, "out", None) is not None:
         overrides["out"] = str(args.out)
-    if getattr(args, "interval", None) is not None:
-        overrides["interval"] = args.interval
-    if getattr(args, "big_n", None) is not None:
-        overrides["block_size"] = args.big_n
-    if getattr(args, "targets", None) is not None:
-        overrides["gsm_targets"] = args.targets
-    if getattr(args, "epsilon", None) is not None:
-        overrides["gsm_epsilon"] = args.epsilon
-    for key in ("gsm_n", "gsm_block"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
 
     baseline = dict(base.baseline)
     constraint = dict(base.constraint)

@@ -92,6 +92,14 @@ class ExperimentConfig:
             raise ConfigError("cf-check needs a nonempty t grid")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.m < 1:
+            raise ConfigError(f"block length m must be >= 1, got {self.m}")
+        if self.gsm_n < 2 or not 1 <= self.gsm_block <= self.gsm_n:
+            raise ConfigError(f"gsm needs n >= 2 and 1 <= block <= n, got n={self.gsm_n}, block={self.gsm_block}")
+        if self.gsm_epsilon <= 0:
+            raise ConfigError(f"gsm epsilon must be > 0, got {self.gsm_epsilon}")
+        if self.gsm_targets[1] <= 0:
+            raise ConfigError(f"gsm target variance must be > 0, got {self.gsm_targets[1]}")
         if self.seed is None:
             raise ConfigError("a seed is required (default 0)")
 
@@ -179,9 +187,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             value = _freeze(dict(value))
         elif f.name in ("n_grid",):
             value = tuple(int(v) for v in value)
-        elif f.name in ("t_grid",):
-            value = tuple(float(v) for v in value)
-        elif f.name in ("interval", "gsm_targets"):
+        elif f.name in ("t_grid", "interval", "gsm_targets"):
             value = tuple(float(v) for v in value)
         kwargs[f.name] = value
     try:

@@ -42,9 +42,8 @@ __all__ = [
 _STREAM_SAMPLE = 10
 _STREAM_CF = 11
 _STREAM_CONDITION = 12
-_CHUNK_CELLS = 4 * 10**6
-# Cells per sampling tile: small enough for the working buffers to stay in
-# cache while a tile is scaled, shifted and reduced.
+# Rows per sampling tile are this over (block + 1), the cells drawn per row:
+# small enough for a tile's arrays to stay in cache.
 _TILE_CELLS = 2**16
 
 
@@ -271,6 +270,24 @@ def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
     return float(max(d_plus, d_minus))
 
 
+def _draw_tile(g: MixingLaw, n: int, block: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One tile of :func:`_accepted_blocks`' draws: the first ``block`` coordinates
+    of ``rows`` sequences, and each one's empirical mean and (1/n) variance."""
+    rest = n - block
+    means, variances = g.draw_latents(rng, rows)
+    scales = np.sqrt(variances)
+    lead = means[:, None] + scales[:, None] * rng.standard_normal((rows, block))
+    total = lead.sum(axis=1)
+    squares = np.square(lead - total[:, None] / block).sum(axis=1)
+    if rest:
+        tail = rest * means + math.sqrt(rest) * scales * rng.standard_normal(rows)
+        if rest >= 2:
+            squares += variances * rng.chisquare(rest - 1, rows)
+        squares += (block * rest / n) * np.square(total / block - tail / rest)
+        total += tail
+    return lead, total / n, squares / n
+
+
 def _accepted_blocks(
     g: MixingLaw,
     targets: tuple[float, float],
@@ -284,37 +301,22 @@ def _accepted_blocks(
     coordinates of those whose empirical mean and variance lie in the open
     windows, one row per accepted sequence in draw order.
 
-    Latents are drawn per chunk and normals per tile, both in row order, so
-    the random stream is consumed exactly as by one (rows, n) draw per chunk.
+    Given the latent pair (M, V), the other r = n - block coordinates enter
+    the two statistics only through their sum, N(rM, rV), and their own sum of
+    squared deviations, V chi^2_{r-1}, independent of each other and of the
+    block by Cochran's theorem, so only these are drawn.  Each tile of rows
+    draws, in order: the latent pairs, the block's normals row by row, one
+    normal per row for the tail sum and, if r >= 2, one chi-square per row for
+    its sum of squares.  The sums of squares pool as
+    SS_block + SS_tail + (block r / n) (mean_block - mean_tail)^2.
     """
     target_mean, target_var = targets
-    chunk_rows = max(1, _CHUNK_CELLS // n)
-    tile_rows = max(1, min(chunk_rows, _TILE_CELLS // n))
-    x_buf = np.empty((tile_rows, n))
-    dev_buf = np.empty((tile_rows, n))
+    tile_rows = max(1, _TILE_CELLS // (block + 1))
     collected = [np.empty((0, block))]
-    remaining = samples
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        remaining -= rows
-        means, variances = g.draw_latents(rng, rows)
-        scales = np.sqrt(variances)
-        for start in range(0, rows, tile_rows):
-            stop = min(start + tile_rows, rows)
-            x, dev = x_buf[: stop - start], dev_buf[: stop - start]
-            rng.standard_normal(out=x)
-            x *= scales[start:stop, None]
-            x += means[start:stop, None]
-            emp_mean = x.mean(axis=1)
-            np.square(np.subtract(x, emp_mean[:, None], out=dev), out=dev)
-            emp_var = dev.mean(axis=1)
-            keep = (
-                (np.abs(emp_mean - target_mean) < epsilon)
-                & (np.abs(emp_var - target_var) < epsilon)
-            )
-            if keep.any():
-                # Boolean indexing copies the rows: the buffer is refilled next tile.
-                collected.append(x[keep, :block])
+    for start in range(0, samples, tile_rows):
+        lead, emp_mean, emp_var = _draw_tile(g, n, block, min(tile_rows, samples - start), rng)
+        keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
+        collected.append(lead[keep])
     return np.concatenate(collected)
 
 

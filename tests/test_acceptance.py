@@ -367,3 +367,29 @@ def test_criterion_8_gaussian_scale_mixtures():
     assert cond_ok
     assert slope_ok
     assert elapsed < 300
+
+
+def test_criterion_8_conditioning_over_seeds_0_to_99():
+    # The two-moment conditioning of criterion 8 at its settings, on every
+    # seed 0-99 rather than seed 0 alone, with the same bounds.
+    reports = [
+        condition_two_moments(
+            MixingLaw.discrete([(0.0, 1.0, 0.5), (0.0, 4.0, 0.5)]),
+            targets=(0.0, 1.0),
+            epsilon=0.1,
+            n=200,
+            block=5,
+            samples=12000,
+            seed=seed,
+        )
+        for seed in range(100)
+    ]
+    failing = [r.seed for r in reports if not (r.ks_statistic < 0.05 and r.accepted >= 2000)]
+    worst_ks = max(r.ks_statistic for r in reports)
+    fewest = min(r.accepted for r in reports)
+    emit(
+        "8 Gaussian scale mixtures, seeds 0-99",
+        not failing,
+        f"largest KS {worst_ks:.4f} (<0.05), fewest accepted {fewest} (>=2000), failing seeds {failing}",
+    )
+    assert not failing

@@ -17,6 +17,7 @@ from tiltlab.reports import (
     Report,
     Table,
     CheckResult,
+    ConfigError,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -53,6 +54,33 @@ def test_config_requires_nonempty_grid():
     raw["n_grid"] = []
     with pytest.raises(ValueError, match="nonempty"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "experiment, field, value, message",
+    [
+        ("theorem1", "m", 0, "block length m must be >= 1, got 0"),
+        ("dice", "m", -3, "block length m must be >= 1, got -3"),
+        ("gsm", "gsm_n", 1, "gsm needs n >= 2 and 1 <= block <= n, got n=1, block=5"),
+        ("gsm", "gsm_block", 0, "gsm needs n >= 2 and 1 <= block <= n, got n=200, block=0"),
+        ("gsm", "gsm_block", 201, "gsm needs n >= 2 and 1 <= block <= n, got n=200, block=201"),
+        ("gsm", "gsm_epsilon", 0.0, "gsm epsilon must be > 0, got 0.0"),
+        ("gsm", "gsm_epsilon", -0.1, "gsm epsilon must be > 0, got -0.1"),
+        ("gsm", "gsm_targets", [0.0, 0.0], "gsm target variance must be > 0, got 0.0"),
+        ("gsm", "gsm_targets", [0.0, -1.0], "gsm target variance must be > 0, got -1.0"),
+    ],
+)
+def test_config_rejects_out_of_range_fields(experiment, field, value, message):
+    raw = {**config_to_dict(default_config(experiment)), field: value}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value) == message
+
+
+def test_config_accepts_gsm_block_edges():
+    for n, block in [(2, 1), (2, 2), (200, 1), (200, 200)]:
+        raw = {**config_to_dict(default_config("gsm")), "gsm_n": n, "gsm_block": block}
+        assert config_from_dict(raw).gsm_block == block
 
 
 # ------------------------------------------------------------------ renders
@@ -243,6 +271,28 @@ def test_cf_check_without_samples_exits_2_on_one_line(samples, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gsm", "--block", "0"], "gsm needs n >= 2 and 1 <= block <= n, got n=200, block=0"),
+        (["gsm", "--n", "1"], "gsm needs n >= 2 and 1 <= block <= n, got n=1, block=5"),
+        (["gsm", "--epsilon", "0"], "gsm epsilon must be > 0, got 0.0"),
+        (["gsm", "--targets", "0,-1"], "gsm target variance must be > 0, got -1.0"),
+        (["theorem1", "--m", "0"], "block length m must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monkeypatch):
+    # The config builder rejects these, so no experiment starts.
+    def fail(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr("tiltlab.cli.run_experiment", fail)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("experiment", ["dice", "theorem1"])

@@ -14,6 +14,7 @@ from tiltlab.scale_mixtures import (
     RealSample,
     ZeroAcceptanceError,
     _accepted_blocks,
+    _draw_tile,
     _ks_normal,
     condition_two_moments,
     empirical_limits,
@@ -150,59 +151,128 @@ def test_inverse_gamma_cf_large_shapes_against_bessel_reference():
 # ----------------------------------------------------- two-moment conditioning
 
 
-def _untiled_blocks(g, targets, epsilon, n, block, samples, rng):
-    """The sampler as it was before tiling: one (rows, n) draw per chunk."""
+ACCEPT_ALL = 1e3  # window half-width that no row's mean or variance reaches
+
+
+def _full_draw_sample(g, targets, epsilon, n, block, samples, rng, chunk_rows=10_000):
+    """Reference sampler: draws all n coordinates of every sequence.
+
+    Returns the first ``block`` coordinates, the empirical mean and the
+    (1/n) empirical variance of the accepted sequences, in draw order.
+    """
     target_mean, target_var = targets
-    chunk_rows = max(1, scale_mixtures._CHUNK_CELLS // n)
-    collected = []
-    accepted = 0
-    remaining = samples
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        remaining -= rows
+    kept = []
+    for start in range(0, samples, chunk_rows):
+        rows = min(chunk_rows, samples - start)
         means, variances = g.draw_latents(rng, rows)
         x = means[:, None] + np.sqrt(variances)[:, None] * rng.standard_normal((rows, n))
         emp_mean = x.mean(axis=1)
         emp_var = ((x - emp_mean[:, None]) ** 2).mean(axis=1)
-        keep = (
-            (np.abs(emp_mean - target_mean) < epsilon)
-            & (np.abs(emp_var - target_var) < epsilon)
-        )
-        if keep.any():
-            accepted += int(keep.sum())
-            collected.append(x[keep, :block].ravel())
-    return accepted, np.concatenate(collected)
+        keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
+        kept.append((x[keep, :block], emp_mean[keep], emp_var[keep]))
+    return [np.concatenate(part) for part in zip(*kept)]
+
+
+def _tiled_sample(g, targets, epsilon, n, block, samples, seed):
+    """The library sampler's accepted rows with their statistics, checked
+    to be the rows that ``_accepted_blocks`` returns for the same stream."""
+    target_mean, target_var = targets
+    rng = stream(seed, scale_mixtures._STREAM_CONDITION)
+    tile_rows = max(1, scale_mixtures._TILE_CELLS // (block + 1))
+    kept = []
+    for start in range(0, samples, tile_rows):
+        lead, emp_mean, emp_var = _draw_tile(g, n, block, min(tile_rows, samples - start), rng)
+        keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
+        kept.append((lead[keep], emp_mean[keep], emp_var[keep]))
+    lead, emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
+    rng = stream(seed, scale_mixtures._STREAM_CONDITION)
+    assert np.array_equal(_accepted_blocks(g, targets, epsilon, n, block, samples, rng), lead)
+    return lead, emp_mean, emp_var
 
 
 @pytest.mark.parametrize(
-    "mixing, epsilon, n, block, samples, chunk_cells, tile_cells",
+    "mixing, targets, epsilon, n, block",
     [
-        # fewer samples than one tile holds
-        (TWO_ATOM, 0.2, 50, 5, 500, None, None),
-        # rows not a multiple of the tile, with an inverse-gamma mixing
-        (MixingLaw.inverse_gamma(3.0, 2.0, mean=0.1), 0.2, 50, 3, 3000, None, None),
-        # many chunks, each ending in a partial tile; nonzero latent means
-        (MixingLaw.discrete([(0.1, 1.0, 0.5), (-0.1, 4.0, 0.5)]), 0.3, 40, 4, 203, 1000, 300),
-        # chunks smaller than a tile: the tile shrinks to the chunk
-        (TWO_ATOM, 0.3, 40, 4, 203, 1000, 4096),
-        # rows longer than a tile holds: one-row tiles, 61-row chunks
-        (TWO_ATOM, 0.02, 2**16 + 1, 2, 130, None, None),
-        # windows that accept every row
-        (TWO_ATOM, 50.0, 50, 10, 3000, None, None),
+        # the criterion-8 setting
+        (TWO_ATOM, (0.0, 1.0), 0.1, 200, 5),
+        # inverse-gamma variances, nonzero latent mean
+        (MixingLaw.inverse_gamma(3.0, 2.0, mean=0.1), (0.1, 1.0), 0.2, 50, 3),
+        # latent means that differ between atoms
+        (MixingLaw.discrete([(0.1, 1.0, 0.5), (-0.1, 4.0, 0.5)]), (0.0, 1.5), 0.3, 40, 4),
+        # a one-coordinate tail (no chi-square draw), every row accepted
+        (TWO_ATOM, (0.0, 1.0), ACCEPT_ALL, 12, 11),
     ],
 )
-def test_tiled_sampler_is_bit_identical_to_untiled(monkeypatch, mixing, epsilon, n, block, samples, chunk_cells, tile_cells):
-    if chunk_cells is not None:
-        monkeypatch.setattr(scale_mixtures, "_CHUNK_CELLS", chunk_cells)
-        monkeypatch.setattr(scale_mixtures, "_TILE_CELLS", tile_cells)
-    args = (mixing, (0.0, 1.0), epsilon, n, block, samples)
-    accepted, pooled = _untiled_blocks(*args, stream(9, scale_mixtures._STREAM_CONDITION))
-    blocks = _accepted_blocks(*args, stream(9, scale_mixtures._STREAM_CONDITION))
-    assert accepted > 0
-    assert len(blocks) == accepted
-    assert np.array_equal(blocks.ravel(), pooled)
-    if epsilon == 50.0:
-        assert accepted == samples
+def test_sufficient_statistic_sampler_matches_full_draws_in_law(mixing, targets, epsilon, n, block):
+    samples = 2 * 10**5
+    new = _tiled_sample(mixing, targets, epsilon, n, block, samples, seed=31)
+    ref = _full_draw_sample(mixing, targets, epsilon, n, block, samples, np.random.default_rng(32))
+    accepted = np.array([len(new[0]), len(ref[0])])
+    assert accepted.min() >= 2000
+    rate = accepted.sum() / (2 * samples)
+    assert abs(accepted[0] - accepted[1]) <= 4 * math.sqrt(2 * samples * rate * (1 - rate)) + 1
+    # the leading coordinate, the row mean and the row variance of accepted rows
+    for new_values, ref_values in [(new[0][:, 0], ref[0][:, 0]), (new[1], ref[1]), (new[2], ref[2])]:
+        assert stats.ks_2samp(new_values, ref_values).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, block", [(2, 1), (2, 2), (10, 3), (10, 9), (10, 10), (200, 5)])
+def test_combined_statistics_have_exact_first_two_moments(n, block):
+    # Point mixing: the row mean is N(M, V/n) and n * variance / V is
+    # chi^2_{n-1}, so E mean = M, Var mean = V/n, E var = (n-1)V/n and
+    # Var var = 2(n-1)V^2/n^2.  Each is checked within 4 standard errors.
+    m, v, rows = 0.3, 2.0, 2 * 10**5
+    rng = stream(17, scale_mixtures._STREAM_CONDITION)
+    _, emp_mean, emp_var = _draw_tile(MixingLaw.point(m, v), n, block, rows, rng)
+    for values, mean, variance in [
+        (emp_mean, m, v / n),
+        (emp_var, (n - 1) * v / n, 2 * (n - 1) * v * v / n**2),
+    ]:
+        centred = values - values.mean()
+        assert abs(values.mean() - mean) <= 4 * values.std() / math.sqrt(rows)
+        moment_se = math.sqrt(max(np.mean(centred**4) - np.mean(centred**2) ** 2, 0.0) / rows)
+        assert abs(np.mean(centred**2) - variance) <= 4 * moment_se
+    # The row mean and row variance of a Gaussian sample are independent.
+    assert abs(np.corrcoef(emp_mean, emp_var)[0, 1]) <= 4 / math.sqrt(rows)
+
+
+@pytest.mark.parametrize("n, block", [(2, 1), (2, 2), (10, 8), (10, 9), (10, 10)])
+def test_tile_draws_in_documented_order(n, block):
+    # latents, the block's normals row-major, one tail-sum normal per row,
+    # then one chi-square per row only when the tail has two coordinates or more
+    g = MixingLaw.discrete([(0.2, 1.0, 0.5), (-0.3, 3.0, 0.5)])
+    rows, rest = 37, n - block
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    lead, emp_mean, emp_var = _draw_tile(g, n, block, rows, rng)
+    means, variances = g.draw_latents(replay, rows)
+    x = means[:, None] + np.sqrt(variances)[:, None] * replay.standard_normal((rows, block))
+    assert np.array_equal(lead, x)
+    tail_sum = rest * means + np.sqrt(rest * variances) * replay.standard_normal(rows) if rest else 0.0
+    tail_ss = variances * replay.chisquare(rest - 1, rows) if rest >= 2 else 0.0
+    assert replay.random() == rng.random()
+    total = x.sum(axis=1) + tail_sum
+    np.testing.assert_allclose(emp_mean, total / n, rtol=1e-12, atol=1e-12)
+    # direct form of the pooled sum of squares about the overall mean
+    lead_ss = ((x - (total / n)[:, None]) ** 2).sum(axis=1)
+    tail_about_overall = tail_ss + (rest * (tail_sum / rest - total / n) ** 2 if rest else 0.0)
+    np.testing.assert_allclose(emp_var, (lead_ss + tail_about_overall) / n, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, block, samples",
+    [
+        (10, 10, 500),  # no tail: no tail draws at all
+        (10, 9, 500),  # a one-coordinate tail: no chi-square draw (df 0 would raise)
+        (2, 1, 300),
+        (2, 2, 300),
+        (200, 5, 7),  # fewer samples than one tile
+        (200, 5, 2 * (scale_mixtures._TILE_CELLS // 6) + 3),  # not a multiple of the tile
+        (2**16 + 1, 2**16, 3),  # a block longer than a tile: one-row tiles
+    ],
+)
+def test_accept_all_windows_return_every_row(n, block, samples):
+    lead, _, _ = _tiled_sample(TWO_ATOM, (0.0, 1.0), ACCEPT_ALL, n, block, samples, seed=3)
+    assert lead.shape == (samples, block)
 
 
 @pytest.mark.parametrize(
