@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .exact import EmptyConstraintError, EnumerationCapError, NonUniqueProjectionError
@@ -25,7 +26,6 @@ from .reports import (
     config_from_dict,
     config_to_dict,
     default_config,
-    merge_overrides,
     render_csv,
     report_to_json,
 )
@@ -80,96 +80,79 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--out", type=Path, default=None, help="write the report here")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--out", type=Path, help="write the report here")
+
+    def sweep(p: argparse.ArgumentParser, target_help: str | None = None, kind: bool = False) -> None:
+        p.add_argument("--baseline-p", type=float)
+        p.add_argument("--target", type=float, help=target_help)
+        if kind:
+            p.add_argument("--kind", choices=("equality", "halfspace"))
+        p.add_argument("--n-grid", type=_parse_grid)
+        p.add_argument("--m", type=int)
 
     p_dice = sub.add_parser("dice", help="tilt a fair die to a target mean")
     common(p_dice)
-    p_dice.add_argument("--target", type=float, default=None, help="target mean (default 4.5)")
+    p_dice.add_argument("--target", type=float, help="target mean (default 4.5)")
 
     p_conc = sub.add_parser("dice-concentration", help="entropy concentration of multinomial types")
     common(p_conc)
-    p_conc.add_argument("--big-n", dest="block_size", metavar="BIG_N", type=int, default=None, help="type size N (default 1000)")
-    p_conc.add_argument("--interval", type=_parse_pair, default=None, help="entropy interval lo,hi")
+    p_conc.add_argument("--big-n", dest="block_size", metavar="BIG_N", type=int, help="type size N (default 1000)")
+    p_conc.add_argument("--interval", type=_parse_pair, help="entropy interval lo,hi")
 
     p_ber = sub.add_parser("bernoulli", help="coin projection and exact convergence sweep")
     common(p_ber)
-    p_ber.add_argument("--baseline-p", dest="baseline_p", type=float, default=None)
-    p_ber.add_argument("--target", type=float, default=None, help="halfspace target (default 0.75)")
-    p_ber.add_argument("--n-grid", dest="n_grid", type=_parse_grid, default=None)
-    p_ber.add_argument("--m", type=int, default=None)
+    sweep(p_ber, target_help="halfspace target (default 0.75)")
 
     p_thm = sub.add_parser("theorem1", help="exact convergence sweep for a configured model")
     common(p_thm)
-    p_thm.add_argument("--baseline-p", dest="baseline_p", type=float, default=None)
-    p_thm.add_argument("--target", type=float, default=None)
-    p_thm.add_argument("--kind", choices=("equality", "halfspace"), default=None)
-    p_thm.add_argument("--n-grid", dest="n_grid", type=_parse_grid, default=None)
-    p_thm.add_argument("--m", type=int, default=None)
+    sweep(p_thm, kind=True)
 
     p_win = sub.add_parser("windows", help="Monte Carlo shrinking-window sweep")
     common(p_win)
-    p_win.add_argument("--baseline-p", dest="baseline_p", type=float, default=None)
-    p_win.add_argument("--target", type=float, default=None)
-    p_win.add_argument("--n-grid", dest="n_grid", type=_parse_grid, default=None)
-    p_win.add_argument("--m", type=int, default=None)
-    p_win.add_argument("--method", choices=METHODS, default=None)
-    p_win.add_argument("--gamma", dest="exponent", type=float, default=None, help="window exponent in (0, 0.5)")
-    p_win.add_argument("--amplitude", type=float, default=None, help="window amplitude (default half the statistic range)")
+    sweep(p_win)
+    p_win.add_argument("--method", choices=METHODS)
+    p_win.add_argument("--gamma", dest="exponent", type=float, help="window exponent in (0, 0.5)")
+    p_win.add_argument("--amplitude", type=float, help="window amplitude (default half the statistic range)")
 
     p_gsm = sub.add_parser("gsm", help="two-moment conditioning of a Gaussian scale mixture")
     common(p_gsm)
-    p_gsm.add_argument("--targets", dest="gsm_targets", metavar="TARGETS", type=_parse_pair, default=None, help="target mean,variance")
-    p_gsm.add_argument("--epsilon", dest="gsm_epsilon", metavar="EPSILON", type=float, default=None)
-    p_gsm.add_argument("--n", dest="gsm_n", type=int, default=None)
-    p_gsm.add_argument("--block", dest="gsm_block", type=int, default=None)
+    p_gsm.add_argument("--targets", dest="gsm_targets", metavar="TARGETS", type=_parse_pair, help="target mean,variance")
+    p_gsm.add_argument("--epsilon", dest="gsm_epsilon", metavar="EPSILON", type=float)
+    p_gsm.add_argument("--n", dest="gsm_n", type=int)
+    p_gsm.add_argument("--block", dest="gsm_block", type=int)
 
     p_cf = sub.add_parser("cf-check", help="radial characteristic-function identity")
     common(p_cf)
-    p_cf.add_argument("--t-grid", dest="t_grid", type=_parse_floats, default=None)
+    p_cf.add_argument("--t-grid", type=_parse_floats)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base = default_config(args.experiment)
+    """The experiment's defaults, then the ``--config`` file, then the flags,
+    validated once as a whole."""
+    raw = config_to_dict(default_config(args.experiment))
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
-        raw.setdefault("experiment", args.experiment)
+        raw.update(json.loads(Path(args.config).read_text()))
         if raw["experiment"] != args.experiment:
             raise ConfigError(
                 f"config file is for {raw['experiment']!r} but the {args.experiment!r} subcommand was invoked"
             )
-        # File values overlay the experiment defaults, then get re-validated.
-        base = config_from_dict({**config_to_dict(base), **raw})
 
-    overrides: dict = {}
-    # Flags whose destination is named after the config field they set.
-    for key in (
-        "seed", "samples", "format", "m", "n_grid", "t_grid", "method", "exponent", "amplitude",
-        "interval", "block_size", "gsm_targets", "gsm_epsilon", "gsm_n", "gsm_block",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = str(args.out)
-
-    baseline = dict(base.baseline)
-    constraint = dict(base.constraint)
-    if getattr(args, "baseline_p", None) is not None:
-        baseline = {"kind": "bernoulli", "p": args.baseline_p}
-    if getattr(args, "target", None) is not None:
-        constraint = {**constraint, "target": args.target}
-    if getattr(args, "kind", None) is not None:
-        constraint = {**constraint, "kind": args.kind}
-    if baseline:
-        overrides["baseline"] = baseline
-    if constraint:
-        overrides["constraint"] = constraint
-    return merge_overrides(base, overrides)
+    # Each flag that sets a config field has that field's name as its destination.
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    raw.update((f.name, flags[f.name]) for f in fields(ExperimentConfig) if f.name in flags)
+    if "out" in flags:
+        raw["out"] = str(flags["out"])
+    if "baseline_p" in flags:
+        raw["baseline"] = {"kind": "bernoulli", "p": flags["baseline_p"]}
+    for key in ("target", "kind"):
+        if key in flags:
+            raw["constraint"] = {**raw["constraint"], key: flags[key]}
+    return config_from_dict(raw)
 
 
 def _emit(report: Report, config: ExperimentConfig) -> None:

@@ -222,14 +222,14 @@ def _type_table(k: int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[np.ndar
     return blocks()
 
 
-def enumerate_types(alphabet: Alphabet | int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[TypeClass]:
+def enumerate_types(alphabet: Alphabet | int, n: int) -> Iterator[TypeClass]:
     """Stream every type of size ``n`` exactly once, in lexicographic order.
 
     Memory stays O(k) per type beyond one block of the type table.  Refuses
-    upfront when the type count C(n+k-1, k-1) exceeds ``cap``.
+    upfront when the type count C(n+k-1, k-1) exceeds ``DEFAULT_TYPE_CAP``.
     """
     alphabet = _as_alphabet(alphabet)
-    blocks = _type_table(alphabet.size, n, cap)
+    blocks = _type_table(alphabet.size, n)
     return (TypeClass(alphabet, row) for block in blocks for row in block.tolist())
 
 
@@ -389,7 +389,7 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     return total[inverse]
 
 
-def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = DEFAULT_WORD_CAP) -> BlockLaw:
+def hypergeometric_block_law(t: TypeClass, m: int) -> BlockLaw:
     """Exact law of the first m coordinates of a uniform sequence of type t.
 
     The mass of a word is prod_j (n_j)_{c_j} / (n)_m with c_j the word's
@@ -400,8 +400,8 @@ def hypergeometric_block_law(t: TypeClass, m: int, word_cap: int = DEFAULT_WORD_
     if m > t.n:
         raise ValueError(f"block length {m} exceeds the type size {t.n}")
     k = t.alphabet.size
-    if k**m > word_cap:
-        raise ValueError(f"k^m = {k**m} words exceeds the cap of {word_cap}")
+    if k**m > DEFAULT_WORD_CAP:
+        raise ValueError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
     return BlockLaw(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
 
 
@@ -417,14 +417,13 @@ def conditional_block_law(
     c: MomentConstraint,
     n: int,
     m: int,
-    cap: int = DEFAULT_TYPE_CAP,
 ) -> BlockLaw:
     """Exact conditional law of the first m coordinates given the constraint.
 
     Mixture of the per-type sampling-without-replacement laws under the
     exact conditional type weights.
     """
-    weights = conditional_weights(p, c, n, cap=cap)
+    weights = conditional_weights(p, c, n)
     return _block_from_weights(weights, m)
 
 
@@ -441,7 +440,6 @@ def convergence_sweep(
     c: MomentConstraint,
     m: int,
     n_grid: list[int],
-    cap: int = DEFAULT_TYPE_CAP,
 ) -> list[ConvergenceRecord]:
     """Exact distance of the conditional block law to the projected product
     law along a grid of sample sizes, with both rate envelopes.
@@ -459,7 +457,7 @@ def convergence_sweep(
 
     raw: list[tuple[int, float, float, float]] = []
     for n in n_grid:
-        weights = conditional_weights(p, c, n, cap=cap)
+        weights = conditional_weights(p, c, n)
         block = _block_from_weights(weights, m)
         tv = tv_distance(block, target_block)
         delta = n ** (-1.0 / 3.0)
@@ -490,7 +488,6 @@ def kl_gap(
     c: MomentConstraint,
     delta: float,
     grid_density: int = 200,
-    cap: int = DEFAULT_TYPE_CAP,
 ) -> float:
     """Divergence gap of the constraint set outside an L1 ball around the
     projection:
@@ -525,7 +522,7 @@ def kl_gap(
     d_star = projection.divergence
 
     lowest = lowest_far = best = math.inf
-    for block in _type_table(p.alphabet.size, grid_density, cap):
+    for block in _type_table(p.alphabet.size, grid_density):
         freq = block[_types_mask(block, grid_density, c)] / grid_density
         divs = _divergences(freq / freq.sum(axis=1, keepdims=True), p)
         dists = np.abs(freq - star).sum(axis=1)

@@ -22,7 +22,7 @@ from .exact import (
     entropy_concentration,
 )
 from .montecarlo import WindowSchedule, rate_fit, window_sweep
-from .reports import CheckResult, ConfigError, ExperimentConfig, Report, Table
+from .reports import CheckResult, ConfigError, ExperimentConfig, Report, Table, default_config
 from .scale_mixtures import MixingLaw, condition_two_moments, radial_cf_check
 from .simplex import Alphabet, Distribution, entropy
 from .tilting import (
@@ -89,8 +89,8 @@ def _check(name: str, invariant: str, margin: float, detail: str = "") -> CheckR
 
 def run_dice(config: ExperimentConfig) -> Report:
     """Tilt a die so its mean matches the target and report the law."""
-    p = build_baseline(config.baseline_dict() or {"kind": "uniform", "k": 6})
-    constraint = build_constraint(config.constraint_dict(), p.alphabet)
+    p = build_baseline(config.baseline or {"kind": "uniform", "k": 6})
+    constraint = build_constraint(config.constraint, p.alphabet)
     solution = i_project(p, constraint)
     if not solution.feasible:
         raise InfeasibleConstraintError(f"target {constraint.target.tolist()}: {solution.diagnostic}")
@@ -125,7 +125,7 @@ def run_dice(config: ExperimentConfig) -> Report:
             ),
         ),
     ]
-    default_target = config.constraint_dict().get("target") == 4.5 and p.alphabet.size == 6
+    default_target = config.constraint.get("target") == 4.5 and p.alphabet.size == 6
     if default_target:
         checks.append(
             _check(
@@ -182,7 +182,7 @@ def _chi2_quantile(level: float, df: int) -> float:
 
 def run_dice_concentration(config: ExperimentConfig) -> Report:
     """Entropy concentration of multinomial types around the maximum."""
-    p = build_baseline(config.baseline_dict() or {"kind": "uniform", "k": 6})
+    p = build_baseline(config.baseline or {"kind": "uniform", "k": 6})
     report = entropy_concentration(
         p,
         n_per_sample=config.block_size,
@@ -291,17 +291,16 @@ def _sweep_checks(records, n0_limit: int | None = None) -> list[CheckResult]:
 
 
 def _is_fair_coin_benchmark(config: ExperimentConfig) -> bool:
-    return config.baseline_dict() == {"kind": "bernoulli", "p": 0.5} and config.constraint_dict() == {
-        "kind": "halfspace",
-        "target": 0.75,
-    }
+    """Is the model the default one of ``bernoulli`` and ``theorem1``?"""
+    coin = default_config("theorem1")
+    return (config.baseline, config.constraint) == (coin.baseline, coin.constraint)
 
 
 def run_theorem1(config: ExperimentConfig) -> Report:
     """Exact convergence sweep of the conditional block law toward the
     projected product law."""
-    p = build_baseline(config.baseline_dict())
-    constraint = build_constraint(config.constraint_dict(), p.alphabet)
+    p = build_baseline(config.baseline)
+    constraint = build_constraint(config.constraint, p.alphabet)
     records = convergence_sweep(p, constraint, config.m, list(config.n_grid))
     checks = _sweep_checks(records, n0_limit=40 if _is_fair_coin_benchmark(config) else None)
     return Report(
@@ -316,8 +315,8 @@ def run_theorem1(config: ExperimentConfig) -> Report:
 def run_bernoulli(config: ExperimentConfig) -> Report:
     """Project a coin onto a mean constraint and verify convergence of the
     exact conditional law toward the projection."""
-    p = build_baseline(config.baseline_dict())
-    constraint = build_constraint(config.constraint_dict(), p.alphabet)
+    p = build_baseline(config.baseline)
+    constraint = build_constraint(config.constraint, p.alphabet)
     solution = i_project(p, constraint)
     if not solution.feasible:
         raise InfeasibleConstraintError(solution.diagnostic)
@@ -394,8 +393,8 @@ def run_bernoulli(config: ExperimentConfig) -> Report:
 
 def run_windows(config: ExperimentConfig) -> Report:
     """Monte Carlo shrinking-window sweep against the tilted product law."""
-    p = build_baseline(config.baseline_dict())
-    constraint = build_constraint(config.constraint_dict(), p.alphabet)
+    p = build_baseline(config.baseline)
+    constraint = build_constraint(config.constraint, p.alphabet)
     h = constraint.function
     span = float(h.table[:, 0].max() - h.table[:, 0].min())
     amplitude = config.amplitude if config.amplitude is not None else 0.5 * span
@@ -537,11 +536,8 @@ RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Dispatch a config to its runner and stamp the wall-clock time."""
-    runner = RUNNERS.get(config.experiment)
-    if runner is None:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
     start = time.perf_counter()
-    report = runner(config)
+    report = RUNNERS[config.experiment](config)
     elapsed = time.perf_counter() - start
     object.__setattr__(report, "wall_clock", elapsed)
     return report

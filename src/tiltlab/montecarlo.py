@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import stream
-from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, tv_distance, word_index
+from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, product_block_law, tv_distance, word_index
 from .tilting import (
     InfeasibleConstraintError,
     MomentFunction,
@@ -52,6 +52,7 @@ METHODS = ("rejection", "tilt-importance")
 _METHOD_STREAM = {"rejection": 1, "tilt-importance": 2}
 MIN_SAMPLES = 10**3
 MIN_ESS = 50.0
+SE_BATCHES = 10  # batch means behind each window-sweep standard error
 _CHUNK_CELLS = 4 * 10**6  # simulated coordinates per chunk; rows scale as 1/n
 
 
@@ -265,18 +266,16 @@ def sample_conditional_blocks(
     samples: int,
     method: str = "rejection",
     seed: int = 0,
-    stream_index: int = 0,
 ) -> tuple[McEstimate, BlockLaw]:
     """Estimate the law of the first m coordinates of an n-long i.i.d.
     sequence from ``p``, conditioned on its h-mean lying in the open window.
 
-    ``samples`` is the number of proposal sequences; ``stream_index``
-    selects an independent substream for the same seed (used by sweeps).
+    ``samples`` is the number of proposal sequences.
     Raises :class:`ZeroAcceptanceError` when nothing lands in the window
     and :class:`LowEffectiveSampleError` when the effective sample size is
     below 50.
     """
-    draws = _conditioned_draws(p, h, window, n, m, samples, method, seed, stream_index)
+    draws = _conditioned_draws(p, h, window, n, m, samples, method, seed, stream_index=0)
     weights = draws.weights
     sq_total = float((weights**2).sum())
     ess = 1.0 / sq_total
@@ -322,19 +321,16 @@ def window_sweep(
     samples: int,
     seed: int = 0,
     method: str = "tilt-importance",
-    n_batches: int = 10,
 ) -> list[WindowSweepPoint]:
     """Condition on shrinking windows (alpha - eps_n, alpha + eps_n) along
     ``n_grid`` and estimate the distance to the product law of the tilt
     whose mean is alpha.
 
     The standard error of each TV estimate comes from batch means: the
-    accepted draws are split into up to ``n_batches`` contiguous batches
+    accepted draws are split into up to ``SE_BATCHES`` contiguous batches
     (contiguous in proposal order, hence independent) and the TV is
     recomputed per batch.
     """
-    from .simplex import product_block_law
-
     target = solve_moment_equality(p, h, [alpha])
     if not target.feasible:
         raise InfeasibleConstraintError(f"target {alpha} is not reachable by a tilt: {target.diagnostic}")
@@ -356,7 +352,7 @@ def window_sweep(
         block = _law_from(draws.word_idx, draws.weights, p.alphabet, m)
         tv = tv_distance(block, product)
 
-        batches = max(2, min(n_batches, draws.accepted // 2))
+        batches = max(2, min(SE_BATCHES, draws.accepted // 2))
         edges = np.linspace(0, draws.accepted, batches + 1, dtype=int)
         tvs = []
         for b in range(batches):

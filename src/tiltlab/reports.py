@@ -13,8 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from functools import partial
 from importlib import resources
+from types import MappingProxyType
 
 from . import __version__
 
@@ -33,15 +37,29 @@ __all__ = [
     "validate_report_dict",
 ]
 
-EXPERIMENTS = (
-    "dice",
-    "dice-concentration",
-    "bernoulli",
-    "theorem1",
-    "windows",
-    "gsm",
-    "cf-check",
+# The zero-argument config of each experiment, as the values that differ
+# from the field defaults.  Its keys are the experiments, in CLI order.
+_COIN_SWEEP = dict(
+    baseline={"kind": "bernoulli", "p": 0.5},
+    constraint={"kind": "halfspace", "target": 0.75},
+    n_grid=tuple(range(20, 401, 20)),
 )
+_DEFAULTS: dict[str, dict] = {
+    "dice": dict(baseline={"kind": "uniform", "k": 6}, constraint={"kind": "equality", "target": 4.5}),
+    "dice-concentration": dict(baseline={"kind": "uniform", "k": 6}),
+    "bernoulli": _COIN_SWEEP,
+    "theorem1": _COIN_SWEEP,
+    "windows": dict(
+        baseline={"kind": "bernoulli", "p": 0.5},
+        constraint={"kind": "equality", "target": 0.75},
+        n_grid=(25, 50, 100, 150),
+        samples=4 * 10**5,
+    ),
+    "gsm": dict(samples=12000),
+    "cf-check": dict(t_grid=(0.0, 0.5, 1.0, 2.0)),
+}
+EXPERIMENTS = tuple(_DEFAULTS)
+_GRID_EXPERIMENTS = ("bernoulli", "theorem1", "windows")
 
 FORMATS = ("json", "csv")
 CSV_SIGNIFICANT_DIGITS = 12
@@ -57,13 +75,14 @@ class ExperimentConfig:
 
     ``baseline`` and ``constraint`` are small declarative specs
     (e.g. ``{"kind": "uniform", "k": 6}`` and
-    ``{"kind": "halfspace", "target": 0.75}``); grids are tuples so the
-    config is hashable and comparable.
+    ``{"kind": "halfspace", "target": 0.75}``), stored as read-only
+    mappings; grids are stored as tuples, so a config cannot be changed
+    after it is validated.
     """
 
     experiment: str
-    baseline: tuple[tuple[str, object], ...] = ()
-    constraint: tuple[tuple[str, object], ...] = ()
+    baseline: Mapping[str, object] = field(default_factory=dict)
+    constraint: Mapping[str, object] = field(default_factory=dict)
     n_grid: tuple[int, ...] = ()
     m: int = 1
     t_grid: tuple[float, ...] = ()
@@ -82,11 +101,22 @@ class ExperimentConfig:
     gsm_block: int = 5
 
     def __post_init__(self) -> None:
+        # JSON gives lists and dicts; keep read-only copies.
+        store = partial(object.__setattr__, self)
+        store("baseline", MappingProxyType(dict(self.baseline)))
+        store("constraint", MappingProxyType(dict(self.constraint)))
+        store("n_grid", tuple(int(v) for v in self.n_grid))
+        for name in ("t_grid", "interval", "gsm_targets"):
+            store(name, tuple(float(v) for v in getattr(self, name)))
+
+        for name in ("interval", "gsm_targets"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} needs two values, got {getattr(self, name)}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; choose from {FORMATS}")
-        if self.experiment in ("bernoulli", "theorem1", "windows") and not self.n_grid:
+        if self.experiment in _GRID_EXPERIMENTS and not self.n_grid:
             raise ConfigError(f"experiment {self.experiment} needs a nonempty n grid")
         if self.experiment == "cf-check" and not self.t_grid:
             raise ConfigError("cf-check needs a nonempty t grid")
@@ -94,66 +124,28 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.m < 1:
             raise ConfigError(f"block length m must be >= 1, got {self.m}")
+        if self.n_grid and min(self.n_grid) < 1:
+            raise ConfigError(f"n grid entries must be >= 1, got {min(self.n_grid)}")
+        if self.experiment in _GRID_EXPERIMENTS and self.m > min(self.n_grid):
+            raise ConfigError(f"block length m={self.m} exceeds the smallest grid size n={min(self.n_grid)}")
+        if self.block_size < 1:
+            raise ConfigError(f"type size N must be >= 1, got {self.block_size}")
+        if not self.interval[0] < self.interval[1]:
+            raise ConfigError(f"interval needs lo < hi, got {self.interval}")
+        if not all(math.isfinite(t) for t in self.t_grid):
+            raise ConfigError(f"t grid entries must be finite, got {self.t_grid}")
         if self.gsm_n < 2 or not 1 <= self.gsm_block <= self.gsm_n:
             raise ConfigError(f"gsm needs n >= 2 and 1 <= block <= n, got n={self.gsm_n}, block={self.gsm_block}")
-        if self.gsm_epsilon <= 0:
+        if not self.gsm_epsilon > 0:
             raise ConfigError(f"gsm epsilon must be > 0, got {self.gsm_epsilon}")
-        if self.gsm_targets[1] <= 0:
+        if not self.gsm_targets[1] > 0:
             raise ConfigError(f"gsm target variance must be > 0, got {self.gsm_targets[1]}")
         if self.seed is None:
             raise ConfigError("a seed is required (default 0)")
 
-    def baseline_dict(self) -> dict:
-        return dict(self.baseline)
-
-    def constraint_dict(self) -> dict:
-        return dict(self.constraint)
-
-
-def _freeze(d: dict) -> tuple[tuple[str, object], ...]:
-    return tuple(sorted(d.items()))
-
-
-_DEFAULTS: dict[str, dict] = {
-    "dice": dict(
-        baseline=_freeze({"kind": "uniform", "k": 6}),
-        constraint=_freeze({"kind": "equality", "target": 4.5}),
-    ),
-    "dice-concentration": dict(
-        baseline=_freeze({"kind": "uniform", "k": 6}),
-        samples=10**5,
-        block_size=1000,
-        interval=(1.786, 1.792),
-    ),
-    "bernoulli": dict(
-        baseline=_freeze({"kind": "bernoulli", "p": 0.5}),
-        constraint=_freeze({"kind": "halfspace", "target": 0.75}),
-        n_grid=tuple(range(20, 401, 20)),
-        m=1,
-    ),
-    "theorem1": dict(
-        baseline=_freeze({"kind": "bernoulli", "p": 0.5}),
-        constraint=_freeze({"kind": "halfspace", "target": 0.75}),
-        n_grid=tuple(range(20, 401, 20)),
-        m=1,
-    ),
-    "windows": dict(
-        baseline=_freeze({"kind": "bernoulli", "p": 0.5}),
-        constraint=_freeze({"kind": "equality", "target": 0.75}),
-        n_grid=(25, 50, 100, 150),
-        m=1,
-        samples=4 * 10**5,
-        exponent=0.25,
-    ),
-    "gsm": dict(samples=12000),
-    "cf-check": dict(t_grid=(0.0, 0.5, 1.0, 2.0), samples=10**5),
-}
-
 
 def default_config(experiment: str) -> ExperimentConfig:
     """The zero-argument configuration of an experiment."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
     return ExperimentConfig(experiment=experiment, **_DEFAULTS.get(experiment, {}))
 
 
@@ -162,7 +154,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     out: dict = {}
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.name in ("baseline", "constraint"):
+        if isinstance(value, MappingProxyType):
             value = dict(value)
         elif isinstance(value, tuple):
             value = list(value)
@@ -171,41 +163,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Rebuild a config from its dict form; inverse of :func:`config_to_dict`."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    """Build and validate a config from its dict form; inverse of :func:`config_to_dict`."""
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "experiment" not in raw:
-        raise ConfigError("config needs an 'experiment' key")
-    kwargs: dict = {}
-    for f in fields(ExperimentConfig):
-        if f.name not in raw:
-            continue
-        value = raw[f.name]
-        if f.name in ("baseline", "constraint"):
-            value = _freeze(dict(value))
-        elif f.name in ("n_grid",):
-            value = tuple(int(v) for v in value)
-        elif f.name in ("t_grid", "interval", "gsm_targets"):
-            value = tuple(float(v) for v in value)
-        kwargs[f.name] = value
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Apply non-None override values (e.g. CLI flags) on top of a config."""
-    updates: dict = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in ("baseline", "constraint"):
-            value = _freeze(value if isinstance(value, dict) else dict(value))
-        updates[key] = value
-    return replace(config, **updates) if updates else config
 
 
 @dataclass(frozen=True)

@@ -224,16 +224,16 @@ def tv_distance(p: Distribution | BlockLaw, q: Distribution | BlockLaw) -> float
     return 0.5 * math.fsum(np.abs(p.masses - q.masses))
 
 
-def product_block_law(p: Distribution, m: int, word_cap: int = DEFAULT_WORD_CAP) -> BlockLaw:
+def product_block_law(p: Distribution, m: int) -> BlockLaw:
     """The i.i.d. law of ``m`` draws from ``p``, as an explicit BlockLaw.
 
-    Materializes all k^m words, so refuses when that exceeds ``word_cap``.
+    Materializes all k^m words, so refuses when that exceeds ``DEFAULT_WORD_CAP``.
     """
     k = p.alphabet.size
     if m < 1:
         raise ValueError(f"block length must be >= 1, got {m}")
-    if k**m > word_cap:
-        raise ValueError(f"k^m = {k**m} words exceeds the cap of {word_cap}")
+    if k**m > DEFAULT_WORD_CAP:
+        raise ValueError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
     # Products of up to m masses: work in log-domain, clamp before exp.
     logp = np.log(np.maximum(p.masses, np.exp(LOG_FLOOR)))
     masses = np.exp(functools.reduce(np.add.outer, [logp] * m)).ravel()

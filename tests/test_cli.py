@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -11,9 +13,10 @@ from scipy import stats
 
 import tiltlab
 from tiltlab import tilting
-from tiltlab.cli import main
+from tiltlab.cli import build_parser, main
 from tiltlab.experiments import _chi2_quantile
 from tiltlab.reports import (
+    ExperimentConfig,
     Report,
     Table,
     CheckResult,
@@ -30,11 +33,33 @@ from tiltlab.reports import (
 # ------------------------------------------------------------------- config
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
 def test_config_round_trip_through_json():
-    for experiment in ("dice", "bernoulli", "windows", "gsm", "cf-check", "dice-concentration", "theorem1"):
-        config = default_config(experiment)
+    # The benchmark workloads add list-valued specs, such as a 2-d h table.
+    configs = [
+        default_config(experiment)
+        for experiment in ("dice", "bernoulli", "windows", "gsm", "cf-check", "dice-concentration", "theorem1")
+    ]
+    configs += [config_from_dict(json.loads(path.read_text())) for path in sorted(WORKLOADS.glob("*.json"))]
+    assert len(configs) == 11
+    for config in configs:
         wire = json.dumps(config_to_dict(config))
         assert config_from_dict(json.loads(wire)) == config
+
+
+def test_config_specs_are_read_only():
+    config = default_config("dice")
+    with pytest.raises(TypeError):
+        config.baseline["k"] = 7
+    with pytest.raises(TypeError):
+        config.constraint["target"] = 5.0
+    # The config keeps its own copy of a spec it was built from.
+    spec = {"kind": "uniform", "k": 6}
+    config = ExperimentConfig(experiment="dice", baseline=spec)
+    spec["k"] = 7
+    assert config.baseline == {"kind": "uniform", "k": 6}
 
 
 def test_config_rejects_unknown_experiment():
@@ -68,6 +93,19 @@ def test_config_requires_nonempty_grid():
         ("gsm", "gsm_epsilon", -0.1, "gsm epsilon must be > 0, got -0.1"),
         ("gsm", "gsm_targets", [0.0, 0.0], "gsm target variance must be > 0, got 0.0"),
         ("gsm", "gsm_targets", [0.0, -1.0], "gsm target variance must be > 0, got -1.0"),
+        ("gsm", "gsm_epsilon", float("nan"), "gsm epsilon must be > 0, got nan"),
+        ("gsm", "gsm_targets", [0.0, float("nan")], "gsm target variance must be > 0, got nan"),
+        ("windows", "n_grid", [0, 25], "n grid entries must be >= 1, got 0"),
+        ("theorem1", "n_grid", [20, -5], "n grid entries must be >= 1, got -5"),
+        ("bernoulli", "m", 21, "block length m=21 exceeds the smallest grid size n=20"),
+        ("windows", "m", 26, "block length m=26 exceeds the smallest grid size n=25"),
+        ("dice-concentration", "block_size", 0, "type size N must be >= 1, got 0"),
+        ("dice-concentration", "interval", [1.79, 1.79], "interval needs lo < hi, got (1.79, 1.79)"),
+        ("dice-concentration", "interval", [2.0, 1.0], "interval needs lo < hi, got (2.0, 1.0)"),
+        ("cf-check", "t_grid", [0.0, float("inf")], "t grid entries must be finite, got (0.0, inf)"),
+        ("cf-check", "t_grid", [float("nan")], "t grid entries must be finite, got (nan,)"),
+        ("gsm", "gsm_targets", [0.0], "gsm_targets needs two values, got (0.0,)"),
+        ("dice-concentration", "interval", [1.0, 2.0, 3.0], "interval needs two values, got (1.0, 2.0, 3.0)"),
     ],
 )
 def test_config_rejects_out_of_range_fields(experiment, field, value, message):
@@ -214,6 +252,19 @@ def test_flags_override_config_file(tmp_path):
     assert raw["config"]["seed"] == 7
 
 
+def test_flag_overrides_an_out_of_range_config_file_value(capsys, tmp_path):
+    # Only the merged config is validated, so a flag can mend a file value.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment": "cf-check", "samples": 0}))
+    assert main(["cf-check", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be >= 1, got 0\n"
+    out = tmp_path / "cf.json"
+    assert main(["cf-check", "--config", str(config_path), "--samples", "20000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["samples"] == 20000
+
+
 def test_config_file_experiment_mismatch(capsys, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"experiment": "gsm"}))
@@ -281,6 +332,11 @@ def test_cf_check_without_samples_exits_2_on_one_line(samples, capsys):
         (["gsm", "--epsilon", "0"], "gsm epsilon must be > 0, got 0.0"),
         (["gsm", "--targets", "0,-1"], "gsm target variance must be > 0, got -1.0"),
         (["theorem1", "--m", "0"], "block length m must be >= 1, got 0"),
+        (["windows", "--n-grid", "0"], "n grid entries must be >= 1, got 0"),
+        (["theorem1", "--m", "3", "--n-grid", "2"], "block length m=3 exceeds the smallest grid size n=2"),
+        (["dice-concentration", "--big-n", "0"], "type size N must be >= 1, got 0"),
+        (["dice-concentration", "--interval", "2,1"], "interval needs lo < hi, got (2.0, 1.0)"),
+        (["cf-check", "--t-grid", "nan"], "t grid entries must be finite, got (nan,)"),
     ],
 )
 def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monkeypatch):
@@ -309,6 +365,27 @@ def test_target_just_past_a_slanted_face_exits_2(experiment, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "convex hull" in captured.err
+
+
+def test_cli_surface_per_subcommand():
+    # Option strings in --help order; each destination is a config field or
+    # one of the flags that edit the baseline and constraint specs.
+    common = ["-h", "--help", "--config", "--seed", "--samples", "--format", "--out"]
+    expected = {
+        "dice": common + ["--target"],
+        "dice-concentration": common + ["--big-n", "--interval"],
+        "bernoulli": common + ["--baseline-p", "--target", "--n-grid", "--m"],
+        "theorem1": common + ["--baseline-p", "--target", "--kind", "--n-grid", "--m"],
+        "windows": common + ["--baseline-p", "--target", "--n-grid", "--m", "--method", "--gamma", "--amplitude"],
+        "gsm": common + ["--targets", "--epsilon", "--n", "--block"],
+        "cf-check": common + ["--t-grid"],
+    }
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(expected)
+    dests = {f.name for f in fields(ExperimentConfig)} | {"help", "config", "baseline_p", "target", "kind"}
+    for name, parser in subparsers.choices.items():
+        assert [s for a in parser._actions for s in a.option_strings] == expected[name], name
+        assert {a.dest for a in parser._actions} <= dests, name
 
 
 def test_threads_flag_and_config_key_are_rejected(capsys, tmp_path):
