@@ -27,7 +27,6 @@ from .exact import (
     EmptyConstraintError,
     EnumerationCapError,
     NonUniqueProjectionError,
-    TypeClass,
     conditional_block_law,
     conditional_weights,
     convergence_sweep,
@@ -38,6 +37,7 @@ from .exact import (
     kl_gap,
     sanov_bounds_check,
     type_log_prob,
+    type_satisfies,
 )
 from .montecarlo import (
     LowEffectiveSampleError,

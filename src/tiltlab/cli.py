@@ -150,7 +150,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if "baseline_p" in flags:
         raw["baseline"] = {"kind": "bernoulli", "p": flags["baseline_p"]}
     for key in ("target", "kind"):
-        if key in flags:
+        # A spec that is not an object is left for the config to reject.
+        if key in flags and isinstance(raw["constraint"], dict):
             raw["constraint"] = {**raw["constraint"], key: flags[key]}
     return config_from_dict(raw)
 

@@ -1,8 +1,8 @@
 """Exact finite-sample conditioning by enumeration of type classes.
 
-A type class is the count vector of a length-n sequence.  Enumerating all
-types of a given size makes three exact computations possible on small
-alphabets:
+A type is the count vector of a length-n sequence: a row of symbol counts
+whose sum is n.  Enumerating all types of a given size makes three exact
+computations possible on small alphabets:
 
 * the multinomial probability of each type and its entropy-based sandwich
   bounds (Sanov / method-of-types estimates),
@@ -19,8 +19,8 @@ limit law and the Monte Carlo samplers are checked.  Everything here is
 deterministic and exact up to floating point; all weights are accumulated
 in log-domain because type probabilities decay exponentially.
 
-A set of types is an integer count table with one type per row;
-:class:`TypeClass` is one type, the value of the per-type functions.
+The per-type functions take an integer count table with one type per row
+and return one value per row; the two hypergeometric functions take one row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, product
 from .tilting import MomentConstraint, i_project, open_window_mask
 
 __all__ = [
-    "TypeClass",
     "ConditionalWeights",
     "ConvergenceRecord",
     "BoundCheck",
@@ -48,6 +47,7 @@ __all__ = [
     "NonUniqueProjectionError",
     "enumerate_types",
     "type_log_prob",
+    "type_satisfies",
     "sanov_bounds_check",
     "conditional_weights",
     "hypergeometric_block_law",
@@ -83,33 +83,6 @@ class EmptyConstraintError(ValueError):
 
 class NonUniqueProjectionError(ValueError):
     """Raised when the divergence minimizer over the constraint set is not unique."""
-
-
-@dataclass(frozen=True)
-class TypeClass:
-    """The count vector of a length-n sequence over an alphabet."""
-
-    alphabet: Alphabet
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.alphabet.size:
-            raise ValueError(
-                f"count vector has length {len(self.counts)}, expected {self.alphabet.size}"
-            )
-        if any(c < 0 or c != int(c) for c in self.counts):
-            raise ValueError("counts must be nonnegative integers")
-        if sum(self.counts) < 1:
-            raise ValueError("type size n must be >= 1")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    def frequency(self) -> Distribution:
-        n = self.n
-        return Distribution(self.alphabet, np.array(self.counts, dtype=float) / n)
 
 
 @dataclass(frozen=True)
@@ -150,11 +123,11 @@ class ConditionalWeights:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of an inequality check, with the slack of each side in nats."""
+    """Per-row outcome of an inequality check, with the slack of each side in nats."""
 
-    passed: bool
-    upper_slack: float
-    lower_slack: float
+    passed: np.ndarray
+    upper_slack: np.ndarray
+    lower_slack: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,8 +160,27 @@ class ConvergenceRecord:
     delta: float
 
 
-def _as_alphabet(alphabet: Alphabet | int) -> Alphabet:
-    return Alphabet.of_size(alphabet) if isinstance(alphabet, int) else alphabet
+def _type_rows(counts, alphabet: Alphabet, p: Distribution | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``counts`` as a (T, k) table of types on ``alphabet``, and each row's
+    size n, after checking the table and, when given, that ``p`` is a strictly
+    positive law on the same alphabet."""
+    if p is not None:
+        if p.alphabet.labels != alphabet.labels:
+            raise ValueError("types and baseline live on different alphabets")
+        if not p.strictly_positive:
+            raise ValueError("baseline law must be strictly positive")
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be nonnegative integers, got dtype {counts.dtype}")
+    if counts.ndim != 2 or counts.shape[1] != alphabet.size:
+        raise ValueError(f"count table has shape {counts.shape}, expected (T, {alphabet.size})")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.min(initial=0) < 0:
+        raise ValueError("counts must be nonnegative integers")
+    n = counts @ np.ones(alphabet.size, dtype=np.int64)  # a product, not sum(axis=1): several times faster
+    if n.min(initial=1) < 1:
+        raise ValueError("type size n must be >= 1")
+    return counts, n
 
 
 def type_space_size(k: int, n: int) -> int:
@@ -196,19 +188,20 @@ def type_space_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def _type_table(k: int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[np.ndarray]:
+def enumerate_types(k: int, n: int) -> Iterator[np.ndarray]:
     """Every type of size ``n`` on k symbols as rows of counts, in
     lexicographic order and in blocks of at most ``_BLOCK_ROWS`` rows.
 
     Stars and bars: the lexicographic (k-1)-subsets of n+k-1 slots are the
     bar positions, and the counts are the gaps between bars.  Refuses
-    upfront, before any allocation, when C(n+k-1, k-1) exceeds ``cap``.
+    upfront, before any allocation, when C(n+k-1, k-1) exceeds
+    ``DEFAULT_TYPE_CAP``.
     """
     if n < 1:
         raise ValueError(f"type size must be >= 1, got {n}")
     count = type_space_size(k, n)
-    if count > cap:
-        raise EnumerationCapError(f"{count} types of size {n} on {k} symbols exceed the cap of {cap}")
+    if count > DEFAULT_TYPE_CAP:
+        raise EnumerationCapError(f"{count} types of size {n} on {k} symbols exceed the cap of {DEFAULT_TYPE_CAP}")
     bars = itertools.combinations(range(n + k - 1), k - 1)
 
     def blocks() -> Iterator[np.ndarray]:
@@ -222,20 +215,10 @@ def _type_table(k: int, n: int, cap: int = DEFAULT_TYPE_CAP) -> Iterator[np.ndar
     return blocks()
 
 
-def enumerate_types(alphabet: Alphabet | int, n: int) -> Iterator[TypeClass]:
-    """Stream every type of size ``n`` exactly once, in lexicographic order.
-
-    Memory stays O(k) per type beyond one block of the type table.  Refuses
-    upfront when the type count C(n+k-1, k-1) exceeds ``DEFAULT_TYPE_CAP``.
-    """
-    alphabet = _as_alphabet(alphabet)
-    blocks = _type_table(alphabet.size, n)
-    return (TypeClass(alphabet, row) for block in blocks for row in block.tolist())
-
-
-def _log_probs(counts: np.ndarray, n: int, p: Distribution) -> np.ndarray:
+def type_log_prob(counts, p: Distribution) -> np.ndarray:
     """Exact multinomial log-probability of each row of counts under ``p``."""
-    counts = np.asarray(counts, dtype=float)
+    counts, n = _type_rows(counts, p.alphabet, p)
+    counts = counts.astype(float)
     coeff = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
     return coeff + (counts * np.log(p.masses)).sum(axis=1)
 
@@ -246,73 +229,48 @@ def _divergences(freq: np.ndarray, p: Distribution) -> np.ndarray:
     return (freq * (np.log(np.where(freq > 0, freq, 1.0)) - np.log(p.masses))).sum(axis=1)
 
 
-def type_log_prob(t: TypeClass, p: Distribution) -> float:
-    """Exact multinomial log-probability of observing type ``t`` under ``p``."""
-    if t.alphabet.labels != p.alphabet.labels:
-        raise ValueError("type and baseline live on different alphabets")
-    if not p.strictly_positive:
-        raise ValueError("baseline law must be strictly positive")
-    return float(_log_probs([t.counts], t.n, p)[0])
-
-
-def sanov_bounds_check(t: TypeClass, p: Distribution) -> BoundCheck:
-    """Check the type-probability sandwich, in log-domain.
+def sanov_bounds_check(counts, p: Distribution) -> BoundCheck:
+    """Check the type-probability sandwich on each row, in log-domain.
 
         (n+1)^(-k) exp(-n D(Q||P))  <=  Pr(type = Q)  <=  exp(-n D(Q||P))
 
-    where Q is the frequency view of ``t``.  Slacks are the log-scale
-    margins by which each inequality holds; a side passes when its slack
-    is at least -``SANOV_SLACK_TOL``.
+    where Q is the row's frequency view.  Slacks are the log-scale margins
+    by which each inequality holds; a side passes when its slack is at
+    least -``SANOV_SLACK_TOL``.
     """
-    n, k = t.n, t.alphabet.size
-    log_prob = type_log_prob(t, p)
-    divergence = _divergences(np.array([t.counts], dtype=float) / n, p)[0]
-    upper_slack = -n * divergence - log_prob
-    lower_slack = log_prob - (-k * math.log(n + 1) - n * divergence)
+    counts, n = _type_rows(counts, p.alphabet, p)
+    log_prob = type_log_prob(counts, p)
+    divergence = n * _divergences(counts / n[:, None], p)
+    upper_slack = -divergence - log_prob
+    lower_slack = log_prob - (-p.alphabet.size * np.log(n + 1) - divergence)
     return BoundCheck(
-        passed=bool(upper_slack >= -SANOV_SLACK_TOL and lower_slack >= -SANOV_SLACK_TOL),
-        upper_slack=float(upper_slack),
-        lower_slack=float(lower_slack),
+        passed=(upper_slack >= -SANOV_SLACK_TOL) & (lower_slack >= -SANOV_SLACK_TOL),
+        upper_slack=upper_slack,
+        lower_slack=lower_slack,
     )
 
 
-def _constraint_scale(c: MomentConstraint) -> float:
-    return max(1.0, float(np.abs(c.function.table).max()))
-
-
-def _means_mask(means: np.ndarray, c: MomentConstraint) -> np.ndarray:
-    """The constraint test on rows of moment values.  Its window test is
-    ``open_window_mask``, the one the samplers use, so both condition on the
-    identical event.
+def type_satisfies(counts, c: MomentConstraint) -> np.ndarray:
+    """Which rows of counts have a frequency view that satisfies the
+    constraint.  Its window test is ``open_window_mask``, the one the
+    samplers use, so both condition on the identical event.
 
     Comparisons carry a 1e-12-scaled tolerance so lattice points are never
     misclassified; window endpoints are excluded (open interval).
     """
+    counts, n = _type_rows(counts, c.function.alphabet)
+    means = counts.astype(float) @ c.function.table / n[:, None]
+    scale = max(1.0, float(np.abs(c.function.table).max()))
     if c.epsilon is not None:
         lo, hi = c.window
-        return open_window_mask(means[:, 0], lo, hi, _constraint_scale(c))
-    tol = LATTICE_TOL * _constraint_scale(c)
+        return open_window_mask(means[:, 0], lo, hi, scale)
+    tol = LATTICE_TOL * scale
     if c.kind == "halfspace":
         return means[:, 0] >= float(c.target[0]) - tol
     return np.all(np.abs(means - c.target) <= tol, axis=1)
 
 
-def _types_mask(counts: np.ndarray, n: int, c: MomentConstraint) -> np.ndarray:
-    """Which rows of counts (types of size n) satisfy the constraint."""
-    return _means_mask(np.asarray(counts, dtype=float) @ c.function.table / n, c)
-
-
-def type_satisfies(t: TypeClass, c: MomentConstraint) -> bool:
-    """Does the frequency view of ``t`` satisfy the constraint?"""
-    return bool(_types_mask([t.counts], t.n, c)[0])
-
-
-def conditional_weights(
-    p: Distribution,
-    c: MomentConstraint,
-    n: int,
-    cap: int = DEFAULT_TYPE_CAP,
-) -> ConditionalWeights:
+def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> ConditionalWeights:
     """Exact Sanov weights: the multinomial law of the type, conditioned on
     the constraint and renormalized in log-domain.
 
@@ -320,29 +278,27 @@ def conditional_weights(
     naming the smallest feasible size up to ``FEASIBLE_PROBE_LIMIT`` if one
     exists.
     """
-    if not p.strictly_positive:
-        raise ValueError("baseline law must be strictly positive")
-    if c.function.alphabet.labels != p.alphabet.labels:
-        raise ValueError("constraint and baseline live on different alphabets")
-    rows = np.concatenate([block[_types_mask(block, n, c)] for block in _type_table(p.alphabet.size, n, cap)])
+    k = p.alphabet.size
+    _type_rows(np.empty((0, k), dtype=int), c.function.alphabet, p)  # checks p before enumerating
+    rows = np.concatenate([block[type_satisfies(block, c)] for block in enumerate_types(k, n)])
     if not len(rows):
         hint = ""
-        smallest = _smallest_feasible_n(p.alphabet, c)
+        smallest = _smallest_feasible_n(k, c)
         if smallest is not None:
             hint = f"; smallest feasible size is n = {smallest}"
         raise EmptyConstraintError(f"no type of size {n} satisfies the constraint{hint}")
-    log_probs = _log_probs(rows, n, p)
+    log_probs = type_log_prob(rows, p)
     total = logsumexp(log_probs)
     weights = np.exp(log_probs - total)
     weights /= weights.sum()
     return ConditionalWeights(constraint=c, n=n, types=rows, weights=weights, event_log_prob=float(total))
 
 
-def _smallest_feasible_n(alphabet: Alphabet, c: MomentConstraint) -> int | None:
+def _smallest_feasible_n(k: int, c: MomentConstraint) -> int | None:
     for n in range(1, FEASIBLE_PROBE_LIMIT + 1):
-        if type_space_size(alphabet.size, n) > 10**6:
+        if type_space_size(k, n) > 10**6:
             return None
-        if any(_types_mask(block, n, c).any() for block in _type_table(alphabet.size, n)):
+        if any(type_satisfies(block, c).any() for block in enumerate_types(k, n)):
             return n
     return None
 
@@ -389,26 +345,33 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     return total[inverse]
 
 
-def hypergeometric_block_law(t: TypeClass, m: int) -> BlockLaw:
-    """Exact law of the first m coordinates of a uniform sequence of type t.
+def hypergeometric_block_law(alphabet: Alphabet, counts, m: int) -> BlockLaw:
+    """Exact law of the first m coordinates of a uniform sequence whose
+    type is the row ``counts``.
 
     The mass of a word is prod_j (n_j)_{c_j} / (n)_m with c_j the word's
     symbol counts: sampling without replacement from the pool of counts.
     """
+    (row,), (n,) = _type_rows(np.asarray(counts)[None], alphabet)
     if m < 1:
         raise ValueError(f"block length must be >= 1, got {m}")
-    if m > t.n:
-        raise ValueError(f"block length {m} exceeds the type size {t.n}")
-    k = t.alphabet.size
+    if m > n:
+        raise ValueError(f"block length {m} exceeds the type size {n}")
+    k = alphabet.size
     if k**m > DEFAULT_WORD_CAP:
         raise ValueError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
-    return BlockLaw(t.alphabet, m, _hypergeometric_mixture(k, [t.counts], [1.0], t.n, m))
+    return BlockLaw(alphabet, m, _hypergeometric_mixture(k, [row], [1.0], int(n), m))
 
 
-def hypergeometric_tv_check(t: TypeClass, m: int) -> TvCheck:
-    """Check the collision-coupling bound TV <= m(m-1)/(2n) on type ``t``."""
-    tv = tv_distance(hypergeometric_block_law(t, m), product_block_law(t.frequency(), m))
-    bound = m * (m - 1) / (2 * t.n)
+def hypergeometric_tv_check(counts, m: int) -> TvCheck:
+    """Check the collision-coupling bound TV <= m(m-1)/(2n) on the type
+    ``counts`` (one row) of size n."""
+    counts = np.asarray(counts)
+    alphabet = Alphabet.of_size(counts.size)
+    law = hypergeometric_block_law(alphabet, counts, m)
+    n = int(counts.sum())
+    tv = tv_distance(law, product_block_law(Distribution(alphabet, counts / n), m))
+    bound = m * (m - 1) / (2 * n)
     return TvCheck(passed=bool(tv <= bound + COUPLING_TV_TOL), tv=float(tv), bound=float(bound))
 
 
@@ -522,8 +485,8 @@ def kl_gap(
     d_star = projection.divergence
 
     lowest = lowest_far = best = math.inf
-    for block in _type_table(p.alphabet.size, grid_density):
-        freq = block[_types_mask(block, grid_density, c)] / grid_density
+    for block in enumerate_types(p.alphabet.size, grid_density):
+        freq = block[type_satisfies(block, c)] / grid_density
         divs = _divergences(freq / freq.sum(axis=1, keepdims=True), p)
         dists = np.abs(freq - star).sum(axis=1)
         far = dists > delta

@@ -419,10 +419,7 @@ def run_windows(config: ExperimentConfig) -> Report:
         ),
     )
     first, last = points[0], points[-1]
-    allowance = math.hypot(
-        first.std_error if math.isfinite(first.std_error) else 0.0,
-        last.std_error if math.isfinite(last.std_error) else 0.0,
-    )
+    allowance = math.hypot(first.std_error, last.std_error)
     checks = [
         _check(
             "tv-trend",

@@ -327,7 +327,7 @@ def window_sweep(
     whose mean is alpha.
 
     The standard error of each TV estimate comes from batch means: the
-    accepted draws are split into up to ``SE_BATCHES`` contiguous batches
+    accepted draws are split into ``SE_BATCHES`` contiguous batches
     (contiguous in proposal order, hence independent) and the TV is
     recomputed per batch.
     """
@@ -352,20 +352,13 @@ def window_sweep(
         block = _law_from(draws.word_idx, draws.weights, p.alphabet, m)
         tv = tv_distance(block, product)
 
-        batches = max(2, min(SE_BATCHES, draws.accepted // 2))
-        edges = np.linspace(0, draws.accepted, batches + 1, dtype=int)
-        tvs = []
-        for b in range(batches):
-            sl = slice(edges[b], edges[b + 1])
-            if edges[b + 1] - edges[b] < 1:
-                continue
-            block_b = _law_from(draws.word_idx[sl], draws.weights[sl], p.alphabet, m)
-            tvs.append(tv_distance(block_b, product))
-        se = (
-            float(np.std(tvs, ddof=1) / math.sqrt(len(tvs)))
-            if len(tvs) >= 2
-            else math.nan
-        )
+        # ESS <= accepted, so each batch holds at least MIN_ESS / SE_BATCHES draws.
+        edges = np.linspace(0, draws.accepted, SE_BATCHES + 1, dtype=int)
+        tvs = [
+            tv_distance(_law_from(draws.word_idx[a:b], draws.weights[a:b], p.alphabet, m), product)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        se = float(np.std(tvs, ddof=1) / math.sqrt(len(tvs)))
         points.append(
             WindowSweepPoint(
                 n=n,

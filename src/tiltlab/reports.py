@@ -103,8 +103,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # JSON gives lists and dicts; keep read-only copies.
         store = partial(object.__setattr__, self)
-        store("baseline", MappingProxyType(dict(self.baseline)))
-        store("constraint", MappingProxyType(dict(self.constraint)))
+        for name in ("baseline", "constraint"):
+            spec = getattr(self, name)
+            if not isinstance(spec, Mapping):
+                raise ConfigError(f"{name} must be a JSON object, got {spec!r}")
+            store(name, MappingProxyType(dict(spec)))
         store("n_grid", tuple(int(v) for v in self.n_grid))
         for name in ("t_grid", "interval", "gsm_targets"):
             store(name, tuple(float(v) for v in getattr(self, name)))
@@ -140,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError(f"gsm epsilon must be > 0, got {self.gsm_epsilon}")
         if not self.gsm_targets[1] > 0:
             raise ConfigError(f"gsm target variance must be > 0, got {self.gsm_targets[1]}")
+        if not all(math.isfinite(v) for v in (*self.gsm_targets, self.gsm_epsilon)):
+            raise ConfigError(f"gsm targets and epsilon must be finite, got {self.gsm_targets} and {self.gsm_epsilon}")
         if self.seed is None:
             raise ConfigError("a seed is required (default 0)")
 

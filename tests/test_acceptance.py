@@ -18,7 +18,6 @@ import pytest
 from scipy.stats import chi2
 
 from tiltlab.exact import (
-    TypeClass,
     conditional_block_law,
     convergence_sweep,
     enumerate_types,
@@ -176,12 +175,13 @@ def test_criterion_3_collision_bound_exhaustive():
     violations = 0
     checked = 0
     for n in (10, 20, 40, 60):
-        for t in enumerate_types(3, n):
-            for m in (2, 3, 5):
-                checked += 1
-                if not hypergeometric_tv_check(t, m).passed:
-                    violations += 1
-    equality = hypergeometric_tv_check(TypeClass(Alphabet.of_size(2), (1, 1)), 2)
+        for block in enumerate_types(3, n):
+            for row in block:
+                for m in (2, 3, 5):
+                    checked += 1
+                    if not hypergeometric_tv_check(row, m).passed:
+                        violations += 1
+    equality = hypergeometric_tv_check((1, 1), 2)
     tight = abs(equality.tv - 0.5) <= 1e-12 and abs(equality.bound - 0.5) <= 1e-15
     elapsed = time.perf_counter() - start
     passed = violations == 0 and tight and elapsed < 120
@@ -213,11 +213,10 @@ def test_criterion_4_type_probability_sandwich_exhaustive():
         for n in range(1, 41):
             for p in baselines:
                 total = 0.0
-                for t in enumerate_types(k, n):
-                    checked += 1
-                    if not sanov_bounds_check(t, p).passed:
-                        violations += 1
-                    total += math.exp(type_log_prob(t, p))
+                for block in enumerate_types(k, n):
+                    checked += len(block)
+                    violations += int(np.count_nonzero(~sanov_bounds_check(block, p).passed))
+                    total += float(np.exp(type_log_prob(block, p)).sum())
                 worst_total_gap = max(worst_total_gap, abs(total - 1.0))
     elapsed = time.perf_counter() - start
     passed = violations == 0 and worst_total_gap <= 1e-9 and elapsed < 120

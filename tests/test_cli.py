@@ -106,6 +106,11 @@ def test_config_requires_nonempty_grid():
         ("cf-check", "t_grid", [float("nan")], "t grid entries must be finite, got (nan,)"),
         ("gsm", "gsm_targets", [0.0], "gsm_targets needs two values, got (0.0,)"),
         ("dice-concentration", "interval", [1.0, 2.0, 3.0], "interval needs two values, got (1.0, 2.0, 3.0)"),
+        ("gsm", "gsm_targets", [float("nan"), 1.0], "gsm targets and epsilon must be finite, got (nan, 1.0) and 0.1"),
+        ("gsm", "gsm_targets", [0.0, float("inf")], "gsm targets and epsilon must be finite, got (0.0, inf) and 0.1"),
+        ("gsm", "gsm_epsilon", float("inf"), "gsm targets and epsilon must be finite, got (0.0, 1.0) and inf"),
+        ("dice", "constraint", None, "constraint must be a JSON object, got None"),
+        ("bernoulli", "baseline", [["kind", "bernoulli"]], "baseline must be a JSON object, got [['kind', 'bernoulli']]"),
     ],
 )
 def test_config_rejects_out_of_range_fields(experiment, field, value, message):
@@ -265,6 +270,20 @@ def test_flag_overrides_an_out_of_range_config_file_value(capsys, tmp_path):
     assert json.loads(out.read_text())["config"]["samples"] == 20000
 
 
+@pytest.mark.parametrize(
+    "experiment, flags",
+    [("dice", []), ("dice", ["--target", "4"]), ("theorem1", ["--kind", "halfspace"])],
+)
+def test_non_object_spec_in_config_file_exits_2(experiment, flags, capsys, tmp_path):
+    # A spec flag edits the file's spec only when it is an object.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment": experiment, "constraint": None}))
+    assert main([experiment, "--config", str(config_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constraint must be a JSON object, got None\n"
+
+
 def test_config_file_experiment_mismatch(capsys, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"experiment": "gsm"}))
@@ -337,6 +356,8 @@ def test_cf_check_without_samples_exits_2_on_one_line(samples, capsys):
         (["dice-concentration", "--big-n", "0"], "type size N must be >= 1, got 0"),
         (["dice-concentration", "--interval", "2,1"], "interval needs lo < hi, got (2.0, 1.0)"),
         (["cf-check", "--t-grid", "nan"], "t grid entries must be finite, got (nan,)"),
+        (["gsm", "--targets", "nan,1"], "gsm targets and epsilon must be finite, got (nan, 1.0) and 0.1"),
+        (["gsm", "--targets", "0,inf"], "gsm targets and epsilon must be finite, got (0.0, inf) and 0.1"),
     ],
 )
 def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from tiltlab.exact import (
     EmptyConstraintError,
     EnumerationCapError,
     NonUniqueProjectionError,
-    TypeClass,
     conditional_block_law,
     conditional_weights,
     convergence_sweep,
@@ -49,16 +48,49 @@ def bernoulli_divergence(q: float, p: float = 0.5) -> float:
     return q * math.log(q / p) + (1 - q) * math.log((1 - q) / (1 - p))
 
 
+# Plain-Python references for one row of counts, independent of the table code.
+
+
+def reference_log_prob(row, p: Distribution) -> float:
+    """Multinomial log-probability of one type under ``p``."""
+    n = sum(row)
+    return math.lgamma(n + 1) + sum(c * math.log(q) - math.lgamma(c + 1) for c, q in zip(row, p.masses.tolist()))
+
+
+def reference_divergence(row, p: Distribution) -> float:
+    """D(row / n || p) in nats, with 0 ln 0 = 0."""
+    n = sum(row)
+    return sum(c / n * math.log(c / n / q) for c, q in zip(row, p.masses.tolist()) if c)
+
+
+def reference_satisfies(row, c: MomentConstraint) -> bool:
+    """Does the type's mean, computed term by term, satisfy the constraint?"""
+    n = sum(row)
+    table = c.function.table.tolist()
+    means = [sum(count * h[d] for count, h in zip(row, table)) / n for d in range(len(table[0]))]
+    tol = 1e-12 * max(1.0, max(abs(v) for h in table for v in h))
+    if c.epsilon is not None:
+        lo, hi = c.window
+        return lo + tol < means[0] < hi - tol
+    if c.kind == "halfspace":
+        return means[0] >= float(c.target[0]) - tol
+    return all(abs(mean - target) <= tol for mean, target in zip(means, c.target.tolist()))
+
+
+def all_types(k: int, n: int) -> np.ndarray:
+    return np.concatenate(list(enumerate_types(k, n)))
+
+
 # -------------------------------------------------------------- enumeration
 
 
 def test_enumerate_types_k2_n2():
-    types = [t.counts for t in enumerate_types(2, 2)]
-    assert types == [(0, 2), (1, 1), (2, 0)]
+    types = all_types(2, 2).tolist()
+    assert types == [[0, 2], [1, 1], [2, 0]]
 
 
 def test_enumerate_types_k3_n2_count_and_order():
-    types = [t.counts for t in enumerate_types(3, 2)]
+    types = all_types(3, 2).tolist()
     assert len(types) == 6 == type_space_size(3, 2)
     assert types == sorted(types)
 
@@ -75,50 +107,64 @@ def test_enumerate_types_cap():
 
 def test_type_class_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        TypeClass(Alphabet.of_size(2), (-1, 3))
-    t = TypeClass(Alphabet.of_size(3), (1, 0, 2))
-    assert t.n == 3
-    np.testing.assert_allclose(t.frequency().masses, [1 / 3, 0, 2 / 3])
+        type_log_prob([[-1, 3]], COIN)
+    with pytest.raises(ValueError, match="nonnegative integers, got dtype float64"):
+        type_satisfies([[1.0, 2.0]], MEAN_AT_LEAST_3_4)
+    with pytest.raises(ValueError, match="shape"):
+        sanov_bounds_check([1, 1], COIN)
+    with pytest.raises(ValueError, match="shape"):
+        hypergeometric_block_law(Alphabet.of_size(3), (1, 1), 1)
+    with pytest.raises(ValueError, match=">= 1"):
+        type_log_prob([[1, 1], [0, 0]], COIN)
+    with pytest.raises(ValueError, match="strictly positive"):
+        type_log_prob([[1, 1]], Distribution.bernoulli(0.0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        conditional_weights(Distribution.bernoulli(0.0), MEAN_AT_LEAST_3_4, 4)
 
 
 # ------------------------------------------------------- type probabilities
 
 
 def test_type_log_prob_balanced_pair():
-    t = TypeClass(COIN.alphabet, (1, 1))
-    assert type_log_prob(t, COIN) == pytest.approx(math.log(0.5), abs=1e-12)
+    assert type_log_prob([[1, 1]], COIN)[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_type_log_prob_single_sequence():
-    for n in (3, 10, 25):
-        t = TypeClass(COIN.alphabet, (n, 0))
-        assert type_log_prob(t, COIN) == pytest.approx(-n * math.log(2), abs=1e-10)
+    # Rows of different sizes share one table: each row's size is its sum.
+    ns = (3, 10, 25)
+    log_probs = type_log_prob([[n, 0] for n in ns], COIN)
+    for n, log_prob in zip(ns, log_probs):
+        assert log_prob == pytest.approx(-n * math.log(2), abs=1e-10)
 
 
 def test_sanov_upper_bound_tight_for_point_type():
-    t = TypeClass(COIN.alphabet, (12, 0))
-    check = sanov_bounds_check(t, COIN)
-    assert check.passed
-    assert check.upper_slack == pytest.approx(0.0, abs=1e-9)
+    check = sanov_bounds_check([[12, 0]], COIN)
+    assert check.passed.tolist() == [True]
+    assert check.upper_slack[0] == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("k,n", [(2, 10), (3, 15)])
 def test_sanov_bounds_exhaustive_small(k, n):
     p = Distribution(Alphabet.of_size(k), RNG.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
-    for t in enumerate_types(k, n):
-        check = sanov_bounds_check(t, p)
-        assert check.passed
-        log_prob, divergence = type_log_prob(t, p), kl_divergence(t.frequency(), p)
-        assert check.upper_slack == pytest.approx(-n * divergence - log_prob, rel=0, abs=1e-12)
+    table = all_types(k, n)
+    check = sanov_bounds_check(table, p)
+    assert check.passed.all()
+    for row, upper_slack, lower_slack in zip(table.tolist(), check.upper_slack, check.lower_slack):
+        log_prob, divergence = reference_log_prob(row, p), reference_divergence(row, p)
+        assert upper_slack == pytest.approx(-n * divergence - log_prob, rel=0, abs=1e-12)
         lower = log_prob + k * math.log(n + 1) + n * divergence
-        assert check.lower_slack == pytest.approx(lower, rel=0, abs=1e-12)
+        assert lower_slack == pytest.approx(lower, rel=0, abs=1e-12)
 
 
 def test_type_probabilities_sum_to_one():
     for k, n in [(2, 23), (3, 17), (4, 12)]:
         p = Distribution(Alphabet.of_size(k), RNG.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
-        total = sum(math.exp(type_log_prob(t, p)) for t in enumerate_types(k, n))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        table = all_types(k, n)
+        log_probs = type_log_prob(table, p)
+        np.testing.assert_allclose(
+            log_probs, [reference_log_prob(row, p) for row in table.tolist()], rtol=0, atol=1e-12
+        )
+        assert float(np.exp(log_probs).sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------------ conditional weights
@@ -138,7 +184,7 @@ def test_conditional_weights_vacuous_constraint():
     weights = conditional_weights(COIN, vacuous, 6)
     assert len(weights.types) == 7
     for row, w in zip(weights.types.tolist(), weights.weights):
-        assert w == pytest.approx(math.exp(type_log_prob(TypeClass(COIN.alphabet, row), COIN)), abs=1e-12)
+        assert w == pytest.approx(math.exp(reference_log_prob(row, COIN)), abs=1e-12)
     assert weights.event_log_prob == pytest.approx(0.0, abs=1e-12)
 
 
@@ -162,51 +208,46 @@ def test_conditional_weights_empty_names_smallest_feasible_n():
 
 
 def test_hypergeometric_one_of_each():
-    t = TypeClass(COIN.alphabet, (1, 1))
-    block = hypergeometric_block_law(t, 2)
+    block = hypergeometric_block_law(COIN.alphabet, (1, 1), 2)
     assert block.mass((0, 1)) == pytest.approx(0.5, abs=1e-15)
     assert block.mass((1, 0)) == pytest.approx(0.5, abs=1e-15)
     assert block.mass((0, 0)) == 0.0  # repeats impossible without replacement
 
 
 def test_hypergeometric_point_type():
-    t = TypeClass(COIN.alphabet, (7, 0))
-    block = hypergeometric_block_law(t, 3)
+    block = hypergeometric_block_law(COIN.alphabet, (7, 0), 3)
     assert block.mass((0, 0, 0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hypergeometric_m1_is_frequency_view():
-    t = TypeClass(Alphabet.of_size(3), (2, 3, 5))
-    block = hypergeometric_block_law(t, 1)
-    np.testing.assert_allclose(
-        [block.mass((i,)) for i in range(3)], t.frequency().masses, atol=1e-15
-    )
+    block = hypergeometric_block_law(Alphabet.of_size(3), (2, 3, 5), 1)
+    np.testing.assert_allclose([block.mass((i,)) for i in range(3)], [0.2, 0.3, 0.5], atol=1e-15)
 
 
 def test_hypergeometric_masses_follow_the_shared_word_order():
     # Word masses depend on the word's symbol counts, so a word mapped to
     # the wrong count class shows here; k = 3 has classes that k = 2 lacks.
-    t = TypeClass(Alphabet.of_size(3), (2, 3, 4))
-    law = hypergeometric_block_law(t, 3)
+    counts = (2, 3, 4)
+    law = hypergeometric_block_law(Alphabet.of_size(3), counts, 3)
     for i, word in enumerate(itertools.product(range(3), repeat=3)):
-        falling = math.prod(math.perm(t.counts[s], word.count(s)) for s in range(3))
+        falling = math.prod(math.perm(counts[s], word.count(s)) for s in range(3))
         assert law.masses[i] == law.mass(word) == pytest.approx(falling / math.perm(9, 3), rel=1e-15, abs=0)
 
 
 def test_hypergeometric_block_longer_than_type_raises():
     with pytest.raises(ValueError, match="exceeds"):
-        hypergeometric_block_law(TypeClass(COIN.alphabet, (1, 1)), 3)
+        hypergeometric_block_law(COIN.alphabet, (1, 1), 3)
 
 
 def test_collision_bound_equality_case():
-    check = hypergeometric_tv_check(TypeClass(COIN.alphabet, (1, 1)), 2)
+    check = hypergeometric_tv_check((1, 1), 2)
     assert check.passed
     assert check.tv == pytest.approx(0.5, abs=1e-12)
     assert check.bound == pytest.approx(0.5, abs=1e-15)
 
 
 def test_collision_bound_m1_is_zero():
-    check = hypergeometric_tv_check(TypeClass(Alphabet.of_size(3), (4, 4, 2)), 1)
+    check = hypergeometric_tv_check((4, 4, 2), 1)
     assert check.tv == pytest.approx(0.0, abs=1e-15)
     assert check.bound == 0.0
 
@@ -214,8 +255,8 @@ def test_collision_bound_m1_is_zero():
 def test_collision_bound_small_slice():
     for n in (10, 20):
         for m in (2, 3):
-            for t in enumerate_types(3, n):
-                assert hypergeometric_tv_check(t, m).passed
+            for row in all_types(3, n):
+                assert hypergeometric_tv_check(row, m).passed
 
 
 # ----------------------------------------------------- conditional block law
@@ -285,10 +326,10 @@ def test_type_class_size_bounded_by_entropy():
     from tiltlab.simplex import entropy
 
     for k, n in [(2, 30), (3, 12), (4, 9)]:
-        for t in enumerate_types(k, n):
-            counts = np.array(t.counts, dtype=float)
+        for row in all_types(k, n):
+            counts = row.astype(float)
             log_count = gammaln(n + 1) - gammaln(counts + 1).sum()
-            assert log_count <= n * entropy(t.frequency()) + 1e-9
+            assert log_count <= n * entropy(Distribution(Alphabet.of_size(k), counts / n)) + 1e-9
 
 
 # -------------------------------------------------------------------- kl gap
@@ -327,10 +368,10 @@ def kl_gap_per_type_loop(p, c, delta, grid_density):
     d_star = projection.divergence
     best = min_seen = math.inf
     tied_far = False
-    for t in enumerate_types(p.alphabet, grid_density):
-        if not type_satisfies(t, c):
+    for row in brute_force_types(p.alphabet.size, grid_density):
+        if not reference_satisfies(row, c):
             continue
-        freq = np.array(t.counts, dtype=float) / grid_density
+        freq = np.array(row, dtype=float) / grid_density
         div = kl_divergence(Distribution(p.alphabet, freq / freq.sum()), p)
         dist = float(np.abs(freq - star).sum())
         if div < min_seen - 1e-9:
@@ -436,19 +477,27 @@ def brute_force_types(k: int, n: int) -> list[tuple[int, ...]]:
 
 
 def assert_matches_per_type_loop(p: Distribution, c: MomentConstraint, n: int) -> None:
-    """conditional_weights equals a plain loop over the scalar wrappers."""
-    types = [t for t in enumerate_types(p.alphabet, n) if type_satisfies(t, c)]
+    """conditional_weights equals a plain loop over the types, with each
+    type's feasibility and log-probability computed in plain Python.
+
+    The log-probabilities agree with the plain-Python ones to 1e-12.  The
+    weights are held to 1e-15 against ``type_log_prob`` on the reference
+    types, since at that scale any two log-domain roundings differ (both
+    the table code and an exact rational reference are up to 1.5e-15 apart).
+    """
+    types = [row for row in brute_force_types(p.alphabet.size, n) if reference_satisfies(row, c)]
     if not types:
         with pytest.raises(EmptyConstraintError):
             conditional_weights(p, c, n)
         return
-    log_probs = np.array([type_log_prob(t, p) for t in types])
+    log_probs = type_log_prob(types, p)
+    np.testing.assert_allclose(log_probs, [reference_log_prob(row, p) for row in types], rtol=0, atol=1e-12)
     event = logsumexp(log_probs)
     reference = np.exp(log_probs - event)
     weights = conditional_weights(p, c, n)
-    table = np.concatenate(list(exact._type_table(p.alphabet.size, n)))
-    feasible = table[[type_satisfies(TypeClass(p.alphabet, row), c) for row in table.tolist()]]
-    assert weights.types.tolist() == [list(t.counts) for t in types] == feasible.tolist()
+    table = all_types(p.alphabet.size, n)
+    feasible = table[type_satisfies(table, c)]
+    assert weights.types.tolist() == [list(row) for row in types] == feasible.tolist()
     assert weights.types.dtype == feasible.dtype
     with pytest.raises(ValueError, match="read-only"):
         weights.types[0, 0] = 0
@@ -461,17 +510,18 @@ def test_type_table_matches_brute_force(k, monkeypatch):
     # Small blocks make every table span several of them.
     monkeypatch.setattr(exact, "_BLOCK_ROWS", 7)
     for n in range(1, 13):
-        table = np.concatenate(list(exact._type_table(k, n)))
-        expected = brute_force_types(k, n)
-        assert [tuple(row) for row in table.tolist()] == expected
-        assert [t.counts for t in enumerate_types(k, n)] == expected
+        blocks = list(enumerate_types(k, n))
+        assert all(len(block) <= 7 for block in blocks)
+        assert [tuple(row) for row in np.concatenate(blocks).tolist()] == brute_force_types(k, n)
 
 
-def test_type_table_cap_refused_before_any_block():
+def test_type_table_cap_refused_before_any_block(monkeypatch):
     with pytest.raises(EnumerationCapError):
-        exact._type_table(30, 30)
+        enumerate_types(30, 30)
+    # C(21, 1) = 21 coin types of size 20 exceed a cap of 20.
+    monkeypatch.setattr(exact, "DEFAULT_TYPE_CAP", 20)
     with pytest.raises(EnumerationCapError):
-        conditional_weights(COIN, MEAN_AT_LEAST_3_4, 20, cap=20)
+        conditional_weights(COIN, MEAN_AT_LEAST_3_4, 20)
 
 
 RAND4 = Distribution(Alphabet.of_size(4), np.array([0.1, 0.2, 0.3, 0.4]))
@@ -511,7 +561,7 @@ def test_block_mixture_matches_per_type_hypergeometric_laws(p, c, n, m):
     words = list(itertools.product(range(p.alphabet.size), repeat=m))
     mixture = np.zeros(len(words))
     for row, w in zip(weights.types.tolist(), weights.weights):
-        law = hypergeometric_block_law(TypeClass(p.alphabet, row), m)
+        law = hypergeometric_block_law(p.alphabet, row, m)
         mixture += w * np.array([law.mass(word) for word in words])
     mixture /= mixture.sum()
     np.testing.assert_allclose([block.mass(word) for word in words], mixture, rtol=0, atol=1e-15)
@@ -521,11 +571,11 @@ def test_block_mixture_big_int_path_matches_int64_path():
     # At m = 7, n^m crosses 2^62 near n = 462: n = 400 takes the int64
     # path and n = 700 the exact big-int one.
     for n in (400, 700):
-        t = TypeClass(COIN.alphabet, (n // 4, n - n // 4))
-        law = hypergeometric_block_law(t, 7)
+        counts = (n // 4, n - n // 4)
+        law = hypergeometric_block_law(COIN.alphabet, counts, 7)
         for word in itertools.product(range(2), repeat=7):
             ones = sum(word)
-            expected = math.perm(t.counts[1], ones) * math.perm(t.counts[0], 7 - ones) / math.perm(n, 7)
+            expected = math.perm(counts[1], ones) * math.perm(counts[0], 7 - ones) / math.perm(n, 7)
             assert law.mass(word) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
