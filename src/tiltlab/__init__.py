@@ -7,7 +7,16 @@ Carlo window conditioning, that conditional block laws converge to the
 tilted product law at the expected rates.
 """
 
-from .simplex import Alphabet, BlockLaw, Distribution, entropy, kl_divergence, product_block_law, tv_distance
+from .simplex import (
+    Alphabet,
+    BlockLaw,
+    Distribution,
+    EnumerationCapError,
+    entropy,
+    kl_divergence,
+    product_block_law,
+    tv_distance,
+)
 from .tilting import (
     InfeasibleConstraintError,
     MomentConstraint,
@@ -25,7 +34,6 @@ from .exact import (
     ConditionalWeights,
     ConvergenceRecord,
     EmptyConstraintError,
-    EnumerationCapError,
     NonUniqueProjectionError,
     conditional_block_law,
     conditional_weights,

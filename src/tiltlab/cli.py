@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .exact import EmptyConstraintError, EnumerationCapError, NonUniqueProjectionError
+from .exact import EmptyConstraintError, NonUniqueProjectionError
 from .experiments import run_experiment
 from .montecarlo import METHODS, LowEffectiveSampleError, ZeroAcceptanceError
 from .reports import (
@@ -29,6 +29,7 @@ from .reports import (
     render_csv,
     report_to_json,
 )
+from .simplex import EnumerationCapError
 from .tilting import InfeasibleConstraintError, SolverError
 
 __all__ = ["main", "build_parser"]

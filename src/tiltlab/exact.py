@@ -15,9 +15,10 @@ computations possible on small alphabets:
   hypergeometric laws.
 
 These are the verification oracles against which both the tilt solver's
-limit law and the Monte Carlo samplers are checked.  Everything here is
-deterministic and exact up to floating point; all weights are accumulated
-in log-domain because type probabilities decay exponentially.
+limit law and the Monte Carlo samplers are checked.  Everything here but
+:func:`entropy_concentration`, which samples types, is deterministic and
+exact up to floating point; all weights are accumulated in log-domain
+because type probabilities decay exponentially.
 
 The per-type functions take an integer count table with one type per row
 and return one value per row; the two hypergeometric functions take one row.
@@ -35,14 +36,13 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .rng import stream
-from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, product_block_law, tv_distance
-from .tilting import MomentConstraint, i_project, open_window_mask
+from .simplex import Alphabet, BlockLaw, Distribution, EnumerationCapError, check_word_cap, product_block_law, tv_distance
+from .tilting import MomentConstraint, i_project
 
 __all__ = [
     "ConditionalWeights",
     "ConvergenceRecord",
     "BoundCheck",
-    "EnumerationCapError",
     "EmptyConstraintError",
     "NonUniqueProjectionError",
     "enumerate_types",
@@ -61,9 +61,6 @@ __all__ = [
 
 DEFAULT_TYPE_CAP = 5 * 10**7
 WEIGHT_SUM_TOL = 1e-10
-# Tolerance for deciding whether a lattice point satisfies a constraint;
-# strict enough that no type one lattice step away is ever misclassified.
-LATTICE_TOL = 1e-12
 SANOV_SLACK_TOL = 1e-9  # rounding slack of each side of the Sanov sandwich, in nats
 COUPLING_TV_TOL = 1e-12  # rounding slack of the collision-coupling TV bound
 FEASIBLE_PROBE_LIMIT = 400  # largest size probed for the smallest feasible n
@@ -71,10 +68,6 @@ TIE_TOL = 1e-9  # divergence resolution of the kl_gap tie rule, in nats
 # Rows per block of the type table: keeps its temporaries to a few hundred KiB,
 # so enumeration leaves the peak resident set unchanged.
 _BLOCK_ROWS = 1 << 12
-
-
-class EnumerationCapError(ValueError):
-    """Raised when a type-space enumeration would exceed the configured cap."""
 
 
 class EmptyConstraintError(ValueError):
@@ -252,22 +245,10 @@ def sanov_bounds_check(counts, p: Distribution) -> BoundCheck:
 
 def type_satisfies(counts, c: MomentConstraint) -> np.ndarray:
     """Which rows of counts have a frequency view that satisfies the
-    constraint.  Its window test is ``open_window_mask``, the one the
-    samplers use, so both condition on the identical event.
-
-    Comparisons carry a 1e-12-scaled tolerance so lattice points are never
-    misclassified; window endpoints are excluded (open interval).
+    constraint, by :meth:`MomentConstraint.holds`, the test the samplers use.
     """
     counts, n = _type_rows(counts, c.function.alphabet)
-    means = counts.astype(float) @ c.function.table / n[:, None]
-    scale = max(1.0, float(np.abs(c.function.table).max()))
-    if c.epsilon is not None:
-        lo, hi = c.window
-        return open_window_mask(means[:, 0], lo, hi, scale)
-    tol = LATTICE_TOL * scale
-    if c.kind == "halfspace":
-        return means[:, 0] >= float(c.target[0]) - tol
-    return np.all(np.abs(means - c.target) <= tol, axis=1)
+    return c.holds(counts.astype(float) @ c.function.table / n[:, None])
 
 
 def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> ConditionalWeights:
@@ -309,8 +290,10 @@ def _word_classes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     counts) and each word's class index, in the word order of BlockLaw.
 
     A word's class is fixed by its symbols sorted, so the classes are the
-    distinct sorted digit rows of the word indices 0 .. k^m - 1.
+    distinct sorted digit rows of the word indices 0 .. k^m - 1; refuses
+    more than ``DEFAULT_WORD_CAP`` words.
     """
+    check_word_cap(k, m)
     digits = np.arange(k**m)[:, None] // k ** np.arange(m - 1, -1, -1) % k
     sorted_words, inverse = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
     classes = (sorted_words[:, :, None] == np.arange(k)).sum(axis=1)
@@ -357,10 +340,7 @@ def hypergeometric_block_law(alphabet: Alphabet, counts, m: int) -> BlockLaw:
         raise ValueError(f"block length must be >= 1, got {m}")
     if m > n:
         raise ValueError(f"block length {m} exceeds the type size {n}")
-    k = alphabet.size
-    if k**m > DEFAULT_WORD_CAP:
-        raise ValueError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
-    return BlockLaw(alphabet, m, _hypergeometric_mixture(k, [row], [1.0], int(n), m))
+    return BlockLaw(alphabet, m, _hypergeometric_mixture(alphabet.size, [row], [1.0], int(n), m))
 
 
 def hypergeometric_tv_check(counts, m: int) -> TvCheck:

@@ -1,8 +1,8 @@
 """Monte Carlo window conditioning with shrinking-window schedules.
 
 Two samplers estimate the conditional law of the first m coordinates of an
-i.i.d. sequence given that the empirical mean of a scalar statistic lies in
-an open window:
+i.i.d. sequence given a windowed :class:`~tiltlab.tilting.MomentConstraint`:
+the empirical mean of its scalar statistic lies in the open window.
 
 * rejection: simulate from the baseline and keep sequences whose mean
   lands in the window,
@@ -16,6 +16,10 @@ the first m coordinates explicitly; the remaining n-m coordinates enter the
 window statistic through their symbol counts, one multinomial draw per
 sequence, which has the same joint law as materializing the tail.
 
+A sequence is kept when :meth:`~tiltlab.tilting.MomentConstraint.holds`
+accepts its mean, the test the exact oracle applies to types, so both
+condition on the identical event.
+
 All randomness flows through counter-based streams keyed by (seed, stream
 id), so estimates are bit-identical across runs for a fixed configuration.
 """
@@ -28,13 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import stream
-from .simplex import DEFAULT_WORD_CAP, Alphabet, BlockLaw, Distribution, product_block_law, tv_distance, word_index
-from .tilting import (
-    InfeasibleConstraintError,
-    MomentFunction,
-    open_window_mask,
-    solve_moment_equality,
-)
+from .simplex import Alphabet, BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
+from .tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, solve_moment_equality
 
 __all__ = [
     "WindowSchedule",
@@ -90,31 +89,32 @@ class WindowSchedule:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Self-normalized estimates of per-word conditional probabilities.
+    """Self-normalized estimate of the law of the first m coordinates.
 
-    ``estimates`` and ``std_errors`` list the k^m words in the word order of
-    :class:`~tiltlab.simplex.BlockLaw`.  ``std_errors[i]`` is the weighted
-    sampling standard error of ``estimates[i]``; with equal weights it
-    reduces to sample std over the square root of the accepted count.
-    ``ess`` is the effective sample size 1 / sum of squared normalized
-    weights (the accepted count under rejection).
+    ``block`` is the weighted empirical law of the accepted first-m words;
+    ``std_errors[i]`` is the weighted sampling standard error of the mass
+    of word i in its word order.  With equal weights it reduces to sample
+    std over the square root of the accepted count.  ``ess`` is the
+    effective sample size 1 / sum of squared normalized weights (the
+    accepted count under rejection).
     """
 
-    alphabet: Alphabet
-    m: int
-    estimates: np.ndarray = field(repr=False)
+    block: BlockLaw
     std_errors: np.ndarray = field(repr=False)
-    proposals: int = 0
-    accepted: int = 0
-    acceptance_rate: float = 0.0
-    ess: float = 0.0
-    method: str = "rejection"
-    seed: int = 0
+    proposals: int
+    accepted: int
+    ess: float
+    method: str
+    seed: int
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals
 
     def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
         """(estimate, standard error) for one word; (0, 0) if never seen."""
-        i = word_index(word, self.alphabet.size, self.m)
-        return float(self.estimates[i]), float(self.std_errors[i])
+        i = word_index(word, self.block.alphabet.size, self.block.m)
+        return float(self.block.masses[i]), float(self.std_errors[i])
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,6 @@ class RateFit:
     n_grid: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _RawDraws:
-    """Accepted draws in proposal order: encoded first-m words and weights."""
-
-    word_idx: np.ndarray
-    weights: np.ndarray
-    proposals: int
-    accepted: int
-
-
 def _draw_window_batch(
     rng: np.random.Generator,
     law: Distribution,
@@ -178,39 +168,31 @@ def _draw_window_batch(
 
 def _conditioned_draws(
     p: Distribution,
-    h: MomentFunction,
-    window: tuple[float, float],
+    c: MomentConstraint,
     n: int,
     m: int,
     samples: int,
     method: str,
     seed: int,
     stream_index: int,
-) -> _RawDraws:
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Accepted draws in proposal order: encoded first-m words, their
+    self-normalized weights and the weights' effective sample size."""
     if not p.strictly_positive:
         raise ValueError("baseline law must be strictly positive")
-    if h.dimension != 1:
-        raise ValueError("window conditioning needs a scalar statistic")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    lo, hi = window
-    values = h.table[:, 0]
-    if not (values.min() < lo < hi < values.max()):
-        raise ValueError(
-            f"window ({lo}, {hi}) must sit strictly inside the statistic range "
-            f"({values.min()}, {values.max()})"
-        )
+    lo, hi = c.window
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if p.alphabet.size**m > DEFAULT_WORD_CAP:
-        raise ValueError(f"k^m = {p.alphabet.size**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
+    check_word_cap(p.alphabet.size, m)
 
     if method == "rejection":
         proposal, lam, logz = p, 0.0, 0.0
     else:
-        solution = solve_moment_equality(p, h, [0.5 * (lo + hi)])
+        solution = solve_moment_equality(p, c.function, [0.5 * (lo + hi)])
         if not solution.feasible:
             raise InfeasibleConstraintError(f"window midpoint is not reachable by a tilt: {solution.diagnostic}")
         proposal = solution.tilted
@@ -218,7 +200,7 @@ def _conditioned_draws(
         logz = solution.log_partition
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
-    scale = max(1.0, float(np.abs(values).max()))
+    values = c.function.table[:, 0]
     chunk_rows = max(1, _CHUNK_CELLS // max(n, 1))
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
@@ -227,7 +209,7 @@ def _conditioned_draws(
         rows = min(chunk_rows, remaining)
         remaining -= rows
         first, sums = _draw_window_batch(rng, proposal, values, n, m, rows)
-        keep = open_window_mask(sums / n, lo, hi, scale)
+        keep = c.holds(sums / n)
         if keep.any():
             kept_words.append(word_index(first[keep], p.alphabet.size, m))
             kept_sums.append(sums[keep])
@@ -239,6 +221,7 @@ def _conditioned_draws(
         )
     word_idx = np.concatenate(kept_words)
     sums = np.concatenate(kept_sums)
+    del kept_words, kept_sums  # release the chunk copies before the weights are built
     if method == "rejection":
         weights = np.full(word_idx.size, 1.0 / word_idx.size)
     else:
@@ -247,9 +230,14 @@ def _conditioned_draws(
         log_w -= log_w.max()
         weights = np.exp(np.maximum(log_w, -700.0))
         weights /= weights.sum()
-    return _RawDraws(
-        word_idx=word_idx, weights=weights, proposals=samples, accepted=int(word_idx.size)
-    )
+    ess = 1.0 / float((weights**2).sum())
+    if ess < MIN_ESS:
+        raise LowEffectiveSampleError(
+            f"effective sample size {ess:.1f} < {MIN_ESS:.0f} at n = {n}; "
+            "increase samples or lower n (whole-sequence importance weights "
+            "degenerate as n grows)"
+        )
+    return word_idx, weights, ess
 
 
 def _law_from(word_idx: np.ndarray, weights: np.ndarray, alphabet: Alphabet, m: int) -> BlockLaw:
@@ -259,56 +247,38 @@ def _law_from(word_idx: np.ndarray, weights: np.ndarray, alphabet: Alphabet, m: 
 
 def sample_conditional_blocks(
     p: Distribution,
-    h: MomentFunction,
-    window: tuple[float, float],
+    c: MomentConstraint,
     n: int,
     m: int,
     samples: int,
     method: str = "rejection",
     seed: int = 0,
-) -> tuple[McEstimate, BlockLaw]:
+) -> McEstimate:
     """Estimate the law of the first m coordinates of an n-long i.i.d.
-    sequence from ``p``, conditioned on its h-mean lying in the open window.
+    sequence from ``p``, conditioned on the windowed constraint ``c``: its
+    h-mean lies in the open window ``c.window``.
 
-    ``samples`` is the number of proposal sequences.
-    Raises :class:`ZeroAcceptanceError` when nothing lands in the window
-    and :class:`LowEffectiveSampleError` when the effective sample size is
-    below 50.
+    ``samples`` is the number of proposal sequences.  Raises ValueError
+    when ``c`` carries no window, :class:`ZeroAcceptanceError` when
+    nothing lands in the window and :class:`LowEffectiveSampleError` when
+    the effective sample size is below 50.
     """
-    draws = _conditioned_draws(p, h, window, n, m, samples, method, seed, stream_index=0)
-    weights = draws.weights
-    sq_total = float((weights**2).sum())
-    ess = 1.0 / sq_total
-    if ess < MIN_ESS:
-        raise LowEffectiveSampleError(
-            f"effective sample size {ess:.1f} < {MIN_ESS:.0f}; increase samples"
-        )
-
-    n_words = p.alphabet.size**m
-    w_sum = np.bincount(draws.word_idx, weights=weights, minlength=n_words)
-    w_sq = np.bincount(draws.word_idx, weights=weights**2, minlength=n_words)
-    estimates = w_sum
+    word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
+    block = _law_from(word_idx, weights, p.alphabet, m)
+    sq_total = 1.0 / ess  # the sum of squared weights
+    w_sq = np.bincount(word_idx, weights=weights**2, minlength=block.masses.size)
     # Weighted Bessel-corrected sampling variance of each indicator mean;
     # reduces to var(indicator, ddof=1)/accepted for equal weights.
-    variances = (w_sq * (1.0 - estimates) ** 2 + (sq_total - w_sq) * estimates**2) / (
-        1.0 - sq_total
-    )
-    std_errors = np.sqrt(np.maximum(variances, 0.0))
-
-    block = BlockLaw(p.alphabet, m, estimates / estimates.sum())
-    estimate = McEstimate(
-        alphabet=p.alphabet,
-        m=m,
-        estimates=estimates,
-        std_errors=std_errors,
-        proposals=draws.proposals,
-        accepted=draws.accepted,
-        acceptance_rate=draws.accepted / draws.proposals,
-        ess=float(ess),
+    variances = (w_sq * (1.0 - block.masses) ** 2 + (sq_total - w_sq) * block.masses**2) / (1.0 - sq_total)
+    return McEstimate(
+        block=block,
+        std_errors=np.sqrt(np.maximum(variances, 0.0)),
+        proposals=samples,
+        accepted=int(word_idx.size),
+        ess=ess,
         method=method,
         seed=seed,
     )
-    return estimate, block
 
 
 def window_sweep(
@@ -339,23 +309,15 @@ def window_sweep(
     points = []
     for i, n in enumerate(n_grid):
         eps = schedule.epsilon(n)
-        draws = _conditioned_draws(
-            p, h, (alpha - eps, alpha + eps), n, m, samples, method, seed, stream_index=i
-        )
-        ess = 1.0 / float((draws.weights**2).sum())
-        if ess < MIN_ESS:
-            raise LowEffectiveSampleError(
-                f"effective sample size {ess:.1f} < {MIN_ESS:.0f} at n = {n}; "
-                "increase samples or shorten the grid (whole-sequence importance "
-                "weights degenerate as n grows)"
-            )
-        block = _law_from(draws.word_idx, draws.weights, p.alphabet, m)
+        c = MomentConstraint(h, "equality", [alpha], epsilon=eps)
+        word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i)
+        block = _law_from(word_idx, weights, p.alphabet, m)
         tv = tv_distance(block, product)
 
         # ESS <= accepted, so each batch holds at least MIN_ESS / SE_BATCHES draws.
-        edges = np.linspace(0, draws.accepted, SE_BATCHES + 1, dtype=int)
+        edges = np.linspace(0, word_idx.size, SE_BATCHES + 1, dtype=int)
         tvs = [
-            tv_distance(_law_from(draws.word_idx[a:b], draws.weights[a:b], p.alphabet, m), product)
+            tv_distance(_law_from(word_idx[a:b], weights[a:b], p.alphabet, m), product)
             for a, b in zip(edges[:-1], edges[1:])
         ]
         se = float(np.std(tvs, ddof=1) / math.sqrt(len(tvs)))
@@ -365,7 +327,7 @@ def window_sweep(
                 epsilon=float(eps),
                 tv_estimate=float(tv),
                 std_error=se,
-                acceptance_rate=draws.accepted / draws.proposals,
+                acceptance_rate=word_idx.size / samples,
                 ess=ess,
                 method=method,
                 seed=seed,

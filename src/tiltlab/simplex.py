@@ -33,6 +33,7 @@ __all__ = [
     "product_block_law",
     "word_index",
     "DEFAULT_WORD_CAP",
+    "EnumerationCapError",
 ]
 
 # Sums of many small probabilities must stay self-consistent with exact
@@ -46,6 +47,16 @@ BLOCK_SUM_TOL = 1e-10
 LOG_FLOOR = -745.0
 
 DEFAULT_WORD_CAP = 10**6
+
+
+class EnumerationCapError(ValueError):
+    """Raised when a type-space or word enumeration would exceed its cap."""
+
+
+def check_word_cap(k: int, m: int) -> None:
+    """Refuse block laws on more than ``DEFAULT_WORD_CAP`` words of length m over k symbols."""
+    if k**m > DEFAULT_WORD_CAP:
+        raise EnumerationCapError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
 
 
 @dataclass(frozen=True)
@@ -229,11 +240,9 @@ def product_block_law(p: Distribution, m: int) -> BlockLaw:
 
     Materializes all k^m words, so refuses when that exceeds ``DEFAULT_WORD_CAP``.
     """
-    k = p.alphabet.size
     if m < 1:
         raise ValueError(f"block length must be >= 1, got {m}")
-    if k**m > DEFAULT_WORD_CAP:
-        raise ValueError(f"k^m = {k**m} words exceeds the cap of {DEFAULT_WORD_CAP}")
+    check_word_cap(p.alphabet.size, m)
     # Products of up to m masses: work in log-domain, clamp before exp.
     logp = np.log(np.maximum(p.masses, np.exp(LOG_FLOOR)))
     masses = np.exp(functools.reduce(np.add.outer, [logp] * m)).ravel()

@@ -38,7 +38,6 @@ __all__ = [
     "solve_moment_equality",
     "i_project",
     "tilted_cdf",
-    "open_window_mask",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -53,6 +52,10 @@ DAMPING_START = 1e-3
 DAMPING_FLOOR = 1e-14
 DAMPING_DECREASE = 3.0
 DAMPING_INCREASE = 4.0
+# Tolerance, scaled by max(1, max|h|), for deciding whether an empirical mean
+# meets a constraint; strict enough that no lattice point one step away is
+# ever misclassified.
+LATTICE_TOL = 1e-12
 
 
 class InfeasibleConstraintError(ValueError):
@@ -148,6 +151,25 @@ class MomentConstraint:
             raise ValueError("constraint carries no window")
         alpha = float(self.target[0])
         return alpha - self.epsilon, alpha + self.epsilon
+
+    def holds(self, means) -> np.ndarray:
+        """Which rows of empirical means, shape (T, d) or (T,) for d = 1,
+        satisfy the constraint: the one membership test of the exact oracle
+        and the samplers.  Comparisons carry a ``LATTICE_TOL``-scaled
+        tolerance; window endpoints are excluded (open interval).
+        """
+        means = np.asarray(means, dtype=float)
+        if means.ndim == 1:
+            means = means[:, None]
+        if means.ndim != 2 or means.shape[1] != self.function.dimension:
+            raise ValueError(f"means have shape {means.shape}, expected (T, {self.function.dimension})")
+        tol = LATTICE_TOL * max(1.0, float(np.abs(self.function.table).max()))
+        if self.epsilon is not None:
+            lo, hi = self.window
+            return (means[:, 0] > lo + tol) & (means[:, 0] < hi - tol)
+        if self.kind == "halfspace":
+            return means[:, 0] >= float(self.target[0]) - tol
+        return np.all(np.abs(means - self.target) <= tol, axis=1)
 
 
 @dataclass(frozen=True)
@@ -372,18 +394,6 @@ def i_project(p: Distribution, constraint: MomentConstraint) -> TiltSolution:
     if base >= float(alpha[0]):
         return _solution_at(p, h, np.zeros(1), np.array([base]), "interior")
     return solve_moment_equality(p, h, alpha)
-
-
-def open_window_mask(means, lo: float, hi: float, scale: float) -> np.ndarray:
-    """Membership in the open window (lo, hi), excluding lattice endpoints.
-
-    The same comparison (strict, with a 1e-12-scaled tolerance so values
-    exactly on an endpoint are excluded) is used by the exact oracle and the
-    samplers, so both condition on the identical event.
-    """
-    tol = 1e-12 * max(1.0, scale)
-    means = np.asarray(means, dtype=float)
-    return (means > lo + tol) & (means < hi - tol)
 
 
 def tilted_cdf(p: Distribution, h: MomentFunction, lam: float, index: int) -> float:

@@ -290,18 +290,13 @@ def test_criterion_6_rate_fit_sanity(benchmark_records):
 def test_criterion_7_mc_oracle_cross_validation():
     start = time.perf_counter()
     windowed = MomentConstraint(COIN_H, "equality", [0.75], epsilon=0.05)
-    window = windowed.window
     oracle = conditional_block_law(COIN, windowed, 100, 1).mass((1,))
     assert oracle == pytest.approx(WINDOW_ORACLE, abs=1e-12)
 
     agreements = 0
     for seed in range(100):
-        rej, _ = sample_conditional_blocks(
-            COIN, COIN_H, window, 100, 1, 6 * 10**6, method="rejection", seed=seed
-        )
-        imp, _ = sample_conditional_blocks(
-            COIN, COIN_H, window, 100, 1, 2 * 10**5, method="tilt-importance", seed=seed
-        )
+        rej = sample_conditional_blocks(COIN, windowed, 100, 1, 6 * 10**6, method="rejection", seed=seed)
+        imp = sample_conditional_blocks(COIN, windowed, 100, 1, 2 * 10**5, method="tilt-importance", seed=seed)
         v_r, se_r = rej.estimate_for((1,))
         v_i, se_i = imp.estimate_for((1,))
         pair_ok = abs(v_r - v_i) <= 3 * math.hypot(se_r, se_i)

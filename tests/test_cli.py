@@ -343,6 +343,15 @@ def test_cf_check_without_samples_exits_2_on_one_line(samples, capsys):
     assert captured.err == f"error: samples must be >= 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("argv", [["theorem1", "--m", "20", "--n-grid", "20"], ["windows", "--m", "20"]])
+def test_word_cap_exits_2_on_one_line(argv, capsys):
+    # k^m = 2^20 words for the default coin: refused before any block law is built.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k^m = 1048576 words exceeds the cap of 1000000\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -25,7 +25,7 @@ from tiltlab.exact import (
     type_satisfies,
     type_space_size,
 )
-from tiltlab.simplex import Alphabet, Distribution, kl_divergence, product_block_law, tv_distance
+from tiltlab.simplex import Alphabet, Distribution, product_block_law, tv_distance
 from tiltlab.tilting import MomentConstraint, MomentFunction, i_project
 
 RNG = np.random.default_rng(40318)
@@ -58,7 +58,8 @@ def reference_log_prob(row, p: Distribution) -> float:
 
 
 def reference_divergence(row, p: Distribution) -> float:
-    """D(row / n || p) in nats, with 0 ln 0 = 0."""
+    """D(row / n || p) in nats, n = sum(row), for a row of counts or of
+    nonnegative weights, with 0 ln 0 = 0."""
     n = sum(row)
     return sum(c / n * math.log(c / n / q) for c, q in zip(row, p.masses.tolist()) if c)
 
@@ -205,6 +206,15 @@ def test_conditional_weights_empty_names_smallest_feasible_n():
 
 
 # ------------------------------------------------- hypergeometric block law
+
+
+def test_block_laws_refuse_more_words_than_the_cap():
+    # 2^20 words: refused before any word is materialized.
+    message = r"^k\^m = 1048576 words exceeds the cap of 1000000$"
+    with pytest.raises(EnumerationCapError, match=message):
+        hypergeometric_block_law(COIN.alphabet, (10, 10), 20)
+    with pytest.raises(EnumerationCapError, match=message):
+        conditional_block_law(COIN, MEAN_AT_LEAST_3_4, 20, 20)
 
 
 def test_hypergeometric_one_of_each():
@@ -362,26 +372,26 @@ def test_kl_gap_validates_inputs():
 
 
 def kl_gap_per_type_loop(p, c, delta, grid_density):
-    """kl_gap as one Distribution per lattice point, with the sequential tie rule."""
+    """kl_gap as a plain-Python loop over the lattice points, with the sequential tie rule."""
     projection = i_project(p, c)
-    star = projection.tilted.masses
+    star = projection.tilted.masses.tolist()
     d_star = projection.divergence
     best = min_seen = math.inf
     tied_far = False
     for row in brute_force_types(p.alphabet.size, grid_density):
         if not reference_satisfies(row, c):
             continue
-        freq = np.array(row, dtype=float) / grid_density
-        div = kl_divergence(Distribution(p.alphabet, freq / freq.sum()), p)
-        dist = float(np.abs(freq - star).sum())
+        freq = [count / grid_density for count in row]
+        div = reference_divergence(row, p)
+        dist = sum(abs(f - s) for f, s in zip(freq, star))
         if div < min_seen - 1e-9:
             min_seen = div
             tied_far = dist > delta
         elif div <= min_seen + 1e-9 and dist > delta:
             tied_far = True
         if dist > delta:
-            q = star + delta / dist * (freq - star)
-            best = min(best, kl_divergence(Distribution(p.alphabet, q / q.sum()), p) - d_star)
+            q = [s + delta / dist * (f - s) for f, s in zip(freq, star)]
+            best = min(best, reference_divergence(q, p) - d_star)
     if tied_far and min_seen <= d_star + 1e-9:
         raise NonUniqueProjectionError("tie")
     return math.inf if math.isinf(best) else max(0.0, best)

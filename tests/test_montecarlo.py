@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tiltlab import montecarlo
-from tiltlab.exact import conditional_block_law
+from tiltlab.exact import conditional_block_law, enumerate_types, type_satisfies
 from tiltlab.montecarlo import (
     LowEffectiveSampleError,
     WindowSchedule,
@@ -14,7 +16,7 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
-from tiltlab.simplex import Alphabet, Distribution
+from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError
 from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction
 
 COIN = Distribution.bernoulli(0.5)
@@ -40,36 +42,39 @@ def test_schedule_validation():
 # ------------------------------------------------------------------ sampling
 
 
+def window(target: float, epsilon: float, h: MomentFunction = COIN_H) -> MomentConstraint:
+    """The open window (target - epsilon, target + epsilon) on the h-mean."""
+    return MomentConstraint(h, "equality", [target], epsilon=epsilon)
+
+
 def test_fixed_seed_is_bit_identical():
-    a, _ = sample_conditional_blocks(COIN, COIN_H, (0.35, 0.65), 40, 2, 2000, seed=9)
-    b, _ = sample_conditional_blocks(COIN, COIN_H, (0.35, 0.65), 40, 2, 2000, seed=9)
-    assert np.array_equal(a.estimates, b.estimates)
+    a = sample_conditional_blocks(COIN, window(0.5, 0.15), 40, 2, 2000, seed=9)
+    b = sample_conditional_blocks(COIN, window(0.5, 0.15), 40, 2, 2000, seed=9)
+    assert np.array_equal(a.block.masses, b.block.masses)
     assert np.array_equal(a.std_errors, b.std_errors)
     assert a.accepted == b.accepted
-    c, _ = sample_conditional_blocks(COIN, COIN_H, (0.35, 0.65), 40, 2, 2000, seed=10)
-    assert not np.array_equal(a.estimates, c.estimates)
+    c = sample_conditional_blocks(COIN, window(0.5, 0.15), 40, 2, 2000, seed=10)
+    assert not np.array_equal(a.block.masses, c.block.masses)
 
 
 def test_vacuous_window_recovers_baseline():
     for method in ("rejection", "tilt-importance"):
-        est, _ = sample_conditional_blocks(
-            COIN, COIN_H, (0.05, 0.95), 60, 1, 40000, method=method, seed=2
-        )
+        est = sample_conditional_blocks(COIN, window(0.5, 0.45), 60, 1, 40000, method=method, seed=2)
         value, se = est.estimate_for((1,))
         assert abs(value - 0.5) <= 3 * se
-    assert est.estimates.sum() == pytest.approx(1.0, abs=1e-12)
+    assert est.block.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimates_agree_across_methods():
-    rej, _ = sample_conditional_blocks(COIN, COIN_H, (0.6, 0.9), 50, 1, 10**5, "rejection", seed=4)
-    imp, _ = sample_conditional_blocks(COIN, COIN_H, (0.6, 0.9), 50, 1, 10**5, "tilt-importance", seed=4)
+    rej = sample_conditional_blocks(COIN, window(0.75, 0.15), 50, 1, 10**5, "rejection", seed=4)
+    imp = sample_conditional_blocks(COIN, window(0.75, 0.15), 50, 1, 10**5, "tilt-importance", seed=4)
     v_r, se_r = rej.estimate_for((1,))
     v_i, se_i = imp.estimate_for((1,))
     assert abs(v_r - v_i) <= 3 * math.hypot(se_r, se_i)
 
 
 def test_rejection_se_matches_sample_std():
-    est, _ = sample_conditional_blocks(COIN, COIN_H, (0.6, 0.9), 50, 1, 20000, "rejection", seed=8)
+    est = sample_conditional_blocks(COIN, window(0.75, 0.15), 50, 1, 20000, "rejection", seed=8)
     value, se = est.estimate_for((1,))
     n_acc = est.accepted
     expected = math.sqrt(value * (1 - value) * n_acc / (n_acc - 1)) / math.sqrt(n_acc)
@@ -78,9 +83,7 @@ def test_rejection_se_matches_sample_std():
 
 
 def test_importance_matches_exact_window_oracle():
-    est, _ = sample_conditional_blocks(
-        COIN, COIN_H, (0.70, 0.80), 100, 1, 2 * 10**5, "tilt-importance", seed=0
-    )
+    est = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 2 * 10**5, "tilt-importance", seed=0)
     value, se = est.estimate_for((1,))
     assert abs(value - WINDOW_ORACLE) <= 3 * se
     assert est.ess >= 50
@@ -93,23 +96,19 @@ def test_window_oracle_constant_matches_package_oracle():
 
 
 def test_importance_beats_rejection_acceptance_in_rare_regime():
-    imp, _ = sample_conditional_blocks(
-        COIN, COIN_H, (0.70, 0.80), 100, 1, 10**5, "tilt-importance", seed=1
-    )
-    rej, _ = sample_conditional_blocks(
-        COIN, COIN_H, (0.70, 0.80), 100, 1, 6 * 10**6, "rejection", seed=1
-    )
+    imp = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 10**5, "tilt-importance", seed=1)
+    rej = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 6 * 10**6, "rejection", seed=1)
     assert imp.acceptance_rate > rej.acceptance_rate
 
 
 def test_zero_acceptance_raises_with_advice():
     with pytest.raises(ZeroAcceptanceError, match="tilt-importance"):
-        sample_conditional_blocks(COIN, COIN_H, (0.94, 0.96), 100, 1, 1000, "rejection", seed=3)
+        sample_conditional_blocks(COIN, window(0.95, 0.01), 100, 1, 1000, "rejection", seed=3)
 
 
 def test_low_effective_sample_raises():
     with pytest.raises((ZeroAcceptanceError, LowEffectiveSampleError)):
-        sample_conditional_blocks(COIN, COIN_H, (0.70, 0.80), 100, 1, 10**5, "rejection", seed=5)
+        sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 10**5, "rejection", seed=5)
 
 
 def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
@@ -123,21 +122,67 @@ def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
         return np.resize(rows, (count, 2)), np.full(count, 2.0 * n)
 
     monkeypatch.setattr(montecarlo, "_draw_window_batch", fixed_batch)
-    h = MomentFunction.from_labels(die3.alphabet)
-    est, block = sample_conditional_blocks(die3, h, (1.5, 2.5), 10, 2, 4000, "rejection")
-    draws = montecarlo._conditioned_draws(die3, h, (1.5, 2.5), 10, 2, 4000, "rejection", 0, 0)
-    swept = montecarlo._law_from(draws.word_idx, draws.weights, die3.alphabet, 2)
+    c = window(2.0, 0.5, MomentFunction.from_labels(die3.alphabet))
+    est = sample_conditional_blocks(die3, c, 10, 2, 4000, "rejection")
+    word_idx, weights, _ = montecarlo._conditioned_draws(die3, c, 10, 2, 4000, "rejection", 0, 0)
+    swept = montecarlo._law_from(word_idx, weights, die3.alphabet, 2)
     expected = {(0, 2): 0.75, (2, 0): 0.25}
     for word in itertools.product(range(3), repeat=2):
         mass = pytest.approx(expected.get(word, 0.0), abs=1e-12)
-        assert block.mass(word) == mass
+        assert est.block.mass(word) == mass
         assert swept.mass(word) == mass
         assert est.estimate_for(word)[0] == mass
 
 
+def test_word_cap_is_checked_before_sampling():
+    with pytest.raises(EnumerationCapError, match=r"^k\^m = 1048576 words exceeds the cap of 1000000$"):
+        sample_conditional_blocks(COIN, window(0.5, 0.15), 20, 20, 2000)
+
+
 def test_window_must_be_inside_value_range():
+    # The window (0.5, 1.5) is refused when the constraint is built.
     with pytest.raises(ValueError, match="window"):
-        sample_conditional_blocks(COIN, COIN_H, (0.5, 1.5), 20, 1, 2000)
+        sample_conditional_blocks(COIN, window(1.0, 0.5), 20, 1, 2000)
+
+
+@pytest.mark.parametrize("kind, target", [("equality", 0.75), ("halfspace", 0.75)])
+def test_unwindowed_constraint_is_refused(kind, target):
+    with pytest.raises(ValueError, match="no window"):
+        sample_conditional_blocks(COIN, MomentConstraint(COIN_H, kind, [target]), 20, 1, 2000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sampler_and_oracle_condition_on_the_same_event(data):
+    # Every type of size n is written as one randomly ordered word, and its
+    # h-sum is taken as the sampler takes it: the first m symbols one by one,
+    # the tail through its symbol counts.  Endpoints are often lattice means.
+    k = data.draw(st.integers(2, 4), label="k")
+    n = data.draw(st.integers(1, 30), label="n")
+    values = data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k), label="values")
+    assume(len(set(values)) > 1)
+    denominator = data.draw(st.sampled_from([1, 3, 10]), label="denominator")
+    h = MomentFunction(Alphabet.of_size(k), np.array(values) / denominator)
+    table = h.table[:, 0]
+    counts = np.concatenate(list(enumerate_types(k, n)))
+    lattice = np.unique(counts @ table / n)
+    inside = lattice[(lattice > table.min()) & (lattice < table.max())]
+    endpoint = st.floats(float(table.min()), float(table.max()))
+    if inside.size:
+        endpoint = st.one_of(st.sampled_from(inside.tolist()), endpoint)
+    lo, hi = sorted([data.draw(endpoint, label="lo"), data.draw(endpoint, label="hi")])
+    target, epsilon = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    assume(epsilon > 0 and table.min() < target - epsilon and target + epsilon < table.max())
+    c = MomentConstraint(h, "equality", [target], epsilon=epsilon)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sorted_words = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(len(counts), n)
+    words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)
+    m = data.draw(st.integers(1, n), label="m")
+    sums = table[words[:, :m]].sum(axis=1)
+    if n > m:
+        sums = sums + (words[:, m:, None] == np.arange(k)).sum(axis=1) @ table
+    assert np.array_equal(c.holds(sums / n), type_satisfies(counts, c))
 
 
 # -------------------------------------------------------------------- sweeps

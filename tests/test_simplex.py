@@ -10,6 +10,7 @@ from tiltlab.simplex import (
     Alphabet,
     BlockLaw,
     Distribution,
+    EnumerationCapError,
     entropy,
     kl_divergence,
     product_block_law,
@@ -191,8 +192,9 @@ def test_product_block_law_word_mass():
 
 def test_product_block_law_cap():
     p = Distribution.uniform(Alphabet.of_size(10))
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(EnumerationCapError, match=r"^k\^m = 10000000 words exceeds the cap of 1000000$") as info:
         product_block_law(p, 7)
+    assert isinstance(info.value, ValueError)
 
 
 def test_product_block_law_marginalizes_back():

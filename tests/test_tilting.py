@@ -122,6 +122,21 @@ def test_window_must_sit_inside_value_range():
         MomentConstraint(COIN_H, "equality", [0.9], epsilon=0.2)
 
 
+def test_holds_tolerance_and_open_window():
+    # The die's values reach 6, so the tolerance is 6e-12.
+    window = MomentConstraint(DIE_H, "equality", [3.5], epsilon=0.5)
+    assert window.holds([3.0, 3.0 + 5e-12, 3.0 + 7e-12, 3.5, 4.0 - 7e-12, 4.0]).tolist() == [
+        False, False, True, True, True, False,
+    ]
+    halfspace = MomentConstraint(DIE_H, "halfspace", [4.0])
+    assert halfspace.holds(np.array([[4.0 - 7e-12], [4.0 - 5e-12], [5.0]])).tolist() == [False, True, True]
+    pair = MomentFunction(DIE.alphabet, np.column_stack([np.arange(1.0, 7.0), np.arange(1.0, 7.0) ** 2]))
+    equality = MomentConstraint(pair, "equality", [3.5, 15.0])
+    assert equality.holds([[3.5, 15.0 + 3e-11], [3.5, 15.0 + 4e-11]]).tolist() == [True, False]
+    with pytest.raises(ValueError, match="shape"):
+        equality.holds([3.5, 15.0])
+
+
 # ------------------------------------------------------------ log-partition
 
 
