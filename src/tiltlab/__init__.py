@@ -33,7 +33,6 @@ from .tilting import (
 from .exact import (
     ConditionalWeights,
     ConvergenceRecord,
-    EmptyConstraintError,
     NonUniqueProjectionError,
     conditional_block_law,
     conditional_weights,
@@ -52,7 +51,6 @@ from .montecarlo import (
     McEstimate,
     RateFit,
     WindowSchedule,
-    ZeroAcceptanceError,
     rate_fit,
     sample_conditional_blocks,
     window_sweep,

@@ -2,9 +2,9 @@
 
 One subcommand per experiment, each with a zero-argument default; flags
 override values from an optional ``--config`` JSON file.  Exit codes:
-0 when every report check passes, 1 when any check fails, 2 on
-configuration or feasibility errors, 3 when the moment solver fails on a
-feasible target.
+0 when every report check passes, 1 when any check fails, 2 on the typed
+errors of ``_CONFIG_ERRORS``, 3 when the moment solver fails on a feasible
+target.  Any other exception is a fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .exact import EmptyConstraintError, NonUniqueProjectionError
 from .experiments import run_experiment
-from .montecarlo import METHODS, LowEffectiveSampleError, ZeroAcceptanceError
+from .montecarlo import METHODS, LowEffectiveSampleError
 from .reports import (
     EXPERIMENTS,
     ConfigError,
@@ -34,16 +33,7 @@ from .tilting import InfeasibleConstraintError, SolverError
 
 __all__ = ["main", "build_parser"]
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    InfeasibleConstraintError,
-    EmptyConstraintError,
-    EnumerationCapError,
-    NonUniqueProjectionError,
-    ZeroAcceptanceError,
-    LowEffectiveSampleError,
-    ValueError,
-)
+_CONFIG_ERRORS = (ConfigError, InfeasibleConstraintError, EnumerationCapError, LowEffectiveSampleError)
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -137,7 +127,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     validated once as a whole."""
     raw = config_to_dict(default_config(args.experiment))
     if args.config is not None:
-        raw.update(json.loads(Path(args.config).read_text()))
+        try:
+            raw.update(json.loads(Path(args.config).read_text()))
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if raw["experiment"] != args.experiment:
             raise ConfigError(
                 f"config file is for {raw['experiment']!r} but the {args.experiment!r} subcommand was invoked"

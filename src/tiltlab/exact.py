@@ -37,13 +37,12 @@ from scipy.special import gammaln, logsumexp
 
 from .rng import stream
 from .simplex import Alphabet, BlockLaw, Distribution, EnumerationCapError, check_word_cap, product_block_law, tv_distance
-from .tilting import MomentConstraint, i_project
+from .tilting import InfeasibleConstraintError, MomentConstraint, i_project
 
 __all__ = [
     "ConditionalWeights",
     "ConvergenceRecord",
     "BoundCheck",
-    "EmptyConstraintError",
     "NonUniqueProjectionError",
     "enumerate_types",
     "type_log_prob",
@@ -68,10 +67,6 @@ TIE_TOL = 1e-9  # divergence resolution of the kl_gap tie rule, in nats
 # Rows per block of the type table: keeps its temporaries to a few hundred KiB,
 # so enumeration leaves the peak resident set unchanged.
 _BLOCK_ROWS = 1 << 12
-
-
-class EmptyConstraintError(ValueError):
-    """Raised when no type of the requested size satisfies the constraint."""
 
 
 class NonUniqueProjectionError(ValueError):
@@ -255,7 +250,7 @@ def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> Conditi
     """Exact Sanov weights: the multinomial law of the type, conditioned on
     the constraint and renormalized in log-domain.
 
-    Raises :class:`EmptyConstraintError` when no size-n type is feasible,
+    Raises :class:`InfeasibleConstraintError` when no size-n type is feasible,
     naming the smallest feasible size up to ``FEASIBLE_PROBE_LIMIT`` if one
     exists.
     """
@@ -267,7 +262,7 @@ def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> Conditi
         smallest = _smallest_feasible_n(k, c)
         if smallest is not None:
             hint = f"; smallest feasible size is n = {smallest}"
-        raise EmptyConstraintError(f"no type of size {n} satisfies the constraint{hint}")
+        raise InfeasibleConstraintError(f"no type of size {n} satisfies the constraint{hint}")
     log_probs = type_log_prob(rows, p)
     total = logsumexp(log_probs)
     weights = np.exp(log_probs - total)
@@ -392,10 +387,7 @@ def convergence_sweep(
     envelope constant is fitted as the max of tv over the constant-free
     rate shape across the grid.
     """
-    projection = i_project(p, c)
-    if not projection.feasible:
-        raise EmptyConstraintError(f"projection infeasible: {projection.diagnostic}")
-    star = projection.tilted
+    star = i_project(p, c).tilted
     target_block = product_block_law(star, m)
 
     raw: list[tuple[int, float, float, float]] = []
@@ -459,8 +451,6 @@ def kl_gap(
     if delta == 0:
         return 0.0
     projection = i_project(p, c)
-    if not projection.feasible:
-        raise EmptyConstraintError(f"projection infeasible: {projection.diagnostic}")
     star = projection.tilted.masses
     d_star = projection.divergence
 

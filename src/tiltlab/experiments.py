@@ -2,16 +2,18 @@
 
 Each runner takes an :class:`~tiltlab.reports.ExperimentConfig`, executes
 the owning module's operations, and returns a :class:`~tiltlab.reports.Report`
-whose checks each name the module invariant they instantiate.  Infeasible
-or ill-formed configurations raise :class:`~tiltlab.reports.ConfigError`
-(or the owning module's feasibility errors), which the CLI maps to exit
-code 2.
+whose checks each name the module invariant they instantiate.  The
+runners are the library's input boundary: a spec they cannot build, a
+baseline that is not strictly positive or a window sweep that cannot start
+raises :class:`~tiltlab.reports.ConfigError` before any work, keeping the
+library's message.  Past it, only the library's typed errors are expected.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -21,16 +23,11 @@ from .exact import (
     convergence_sweep,
     entropy_concentration,
 )
-from .montecarlo import WindowSchedule, rate_fit, window_sweep
+from .montecarlo import MIN_SAMPLES, WindowSchedule, rate_fit, window_sweep
 from .reports import CheckResult, ConfigError, ExperimentConfig, Report, Table, default_config
 from .scale_mixtures import MixingLaw, condition_two_moments, radial_cf_check
 from .simplex import Alphabet, Distribution, entropy
-from .tilting import (
-    InfeasibleConstraintError,
-    MomentConstraint,
-    MomentFunction,
-    i_project,
-)
+from .tilting import MomentConstraint, MomentFunction, i_project
 
 __all__ = ["run_experiment", "RUNNERS"]
 
@@ -50,35 +47,53 @@ DICE_REFERENCE_ENTROPY = 1.613581098
 DICE_REFERENCE_DIVERGENCE = 0.178178371
 
 
+@contextmanager
+def _spec_boundary(name: str):
+    """Raise any failure to build the ``name`` spec as a ConfigError that
+    keeps the library's message."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{name} spec has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_baseline(spec: dict) -> Distribution:
-    kind = spec.get("kind")
-    if kind == "uniform":
-        return Distribution.uniform(Alphabet.of_size(int(spec["k"])))
-    if kind == "bernoulli":
-        return Distribution.bernoulli(float(spec["p"]))
-    if kind == "masses":
-        values = np.asarray(spec["values"], dtype=float)
-        return Distribution(Alphabet.of_size(len(values)), values)
-    raise ConfigError(f"unknown baseline kind {kind!r}")
+    """The strictly positive baseline law of a spec, or ConfigError."""
+    with _spec_boundary("baseline"):
+        kind = spec.get("kind")
+        if kind == "uniform":
+            p = Distribution.uniform(Alphabet.of_size(int(spec["k"])))
+        elif kind == "bernoulli":
+            p = Distribution.bernoulli(float(spec["p"]))
+        elif kind == "masses":
+            values = np.asarray(spec["values"], dtype=float)
+            p = Distribution(Alphabet.of_size(len(values)), values)
+        else:
+            raise ValueError(f"unknown baseline kind {kind!r}")
+        if not p.strictly_positive:
+            raise ValueError("baseline law must be strictly positive")
+    return p
+
+
+def _moment_function(spec: dict, alphabet: Alphabet) -> MomentFunction:
+    h_spec = spec.get("h", "labels")
+    if h_spec == "labels":
+        return MomentFunction.from_labels(alphabet)
+    return MomentFunction(alphabet, np.asarray(h_spec, dtype=float))
 
 
 def build_constraint(spec: dict, alphabet: Alphabet) -> MomentConstraint:
-    h_spec = spec.get("h", "labels")
-    if h_spec == "labels":
-        h = MomentFunction.from_labels(alphabet)
-    else:
-        h = MomentFunction(alphabet, np.asarray(h_spec, dtype=float))
-    kind = spec.get("kind", "halfspace")
-    target = spec.get("target")
-    if target is None:
-        raise ConfigError("constraint needs a target")
-    epsilon = spec.get("epsilon")
-    return MomentConstraint(
-        function=h,
-        kind=kind,
-        target=np.atleast_1d(np.asarray(target, dtype=float)),
-        epsilon=None if epsilon is None else float(epsilon),
-    )
+    """The moment constraint of a spec on ``alphabet``, or ConfigError."""
+    with _spec_boundary("constraint"):
+        epsilon = spec.get("epsilon")
+        return MomentConstraint(
+            function=_moment_function(spec, alphabet),
+            kind=spec.get("kind", "halfspace"),
+            target=spec["target"],
+            epsilon=None if epsilon is None else float(epsilon),
+        )
 
 
 def _check(name: str, invariant: str, margin: float, detail: str = "") -> CheckResult:
@@ -89,11 +104,9 @@ def _check(name: str, invariant: str, margin: float, detail: str = "") -> CheckR
 
 def run_dice(config: ExperimentConfig) -> Report:
     """Tilt a die so its mean matches the target and report the law."""
-    p = build_baseline(config.baseline or {"kind": "uniform", "k": 6})
+    p = build_baseline(config.baseline)
     constraint = build_constraint(config.constraint, p.alphabet)
     solution = i_project(p, constraint)
-    if not solution.feasible:
-        raise InfeasibleConstraintError(f"target {constraint.target.tolist()}: {solution.diagnostic}")
     law = solution.tilted
     h_entropy = entropy(law)
     h_max = math.log(p.alphabet.size)
@@ -182,7 +195,7 @@ def _chi2_quantile(level: float, df: int) -> float:
 
 def run_dice_concentration(config: ExperimentConfig) -> Report:
     """Entropy concentration of multinomial types around the maximum."""
-    p = build_baseline(config.baseline or {"kind": "uniform", "k": 6})
+    p = build_baseline(config.baseline)
     report = entropy_concentration(
         p,
         n_per_sample=config.block_size,
@@ -249,7 +262,6 @@ def _sweep_checks(records, n0_limit: int | None = None) -> list[CheckResult]:
     ``n0_limit`` adds a bound check on the reported n0; it is calibrated to
     the fair-coin benchmark and only applied there.
     """
-    checks: list[CheckResult] = []
     n0 = None
     for i in range(len(records)):
         tail = records[i:]
@@ -258,27 +270,16 @@ def _sweep_checks(records, n0_limit: int | None = None) -> list[CheckResult]:
         if envelope_ok and monotone_ok:
             n0 = records[i].n
             break
-    if n0 is None:
-        checks.append(
-            _check(
-                "envelope-from-n0",
-                "exact: tv <= m*sqrt(ln n / n) + m(m-1)/(2n) + 2*bad_mass and "
-                "non-increasing bad mass from some grid point on",
-                -1.0,
-                "no grid point works onward",
-            )
-        )
-        return checks
-    checks.append(
+    checks = [
         _check(
             "envelope-from-n0",
             "exact: tv <= m*sqrt(ln n / n) + m(m-1)/(2n) + 2*bad_mass and "
             "non-increasing bad mass from some grid point on",
-            float(sum(r.n >= n0 for r in records)),
-            f"holds from n0 = {n0}",
+            -1.0 if n0 is None else float(sum(r.n >= n0 for r in records)),
+            "no grid point works onward" if n0 is None else f"holds from n0 = {n0}",
         )
-    )
-    if n0_limit is not None:
+    ]
+    if n0 is not None and n0_limit is not None:
         checks.append(
             _check(
                 "n0-bound",
@@ -318,9 +319,6 @@ def run_bernoulli(config: ExperimentConfig) -> Report:
     p = build_baseline(config.baseline)
     constraint = build_constraint(config.constraint, p.alphabet)
     solution = i_project(p, constraint)
-    if not solution.feasible:
-        raise InfeasibleConstraintError(solution.diagnostic)
-
     summary = Table(
         columns=("multiplier", "status", "p_star_1", "divergence", "residual"),
         rows=(
@@ -394,16 +392,24 @@ def run_bernoulli(config: ExperimentConfig) -> Report:
 def run_windows(config: ExperimentConfig) -> Report:
     """Monte Carlo shrinking-window sweep against the tilted product law."""
     p = build_baseline(config.baseline)
-    constraint = build_constraint(config.constraint, p.alphabet)
-    h = constraint.function
-    span = float(h.table[:, 0].max() - h.table[:, 0].min())
-    amplitude = config.amplitude if config.amplitude is not None else 0.5 * span
-    schedule = WindowSchedule(amplitude=amplitude, exponent=config.exponent)
-    alpha = float(constraint.target[0])
+    spec = config.constraint
+    if spec.get("kind", "equality") != "equality":
+        raise ConfigError(f"windows condition on equality windows, got constraint kind {spec['kind']!r}")
+    if "epsilon" in spec:
+        raise ConfigError("windows take each window's half-width from the schedule, not from the constraint's epsilon")
+    if config.samples < MIN_SAMPLES:
+        raise ConfigError(f"samples must be >= {MIN_SAMPLES}, got {config.samples}")
+    with _spec_boundary("constraint"):
+        h = _moment_function(spec, p.alphabet)
+        span = float(h.table[:, 0].max() - h.table[:, 0].min())
+        amplitude = config.amplitude if config.amplitude is not None else 0.5 * span
+        schedule = WindowSchedule(amplitude=amplitude, exponent=config.exponent)
+        # The widest window, at the smallest n, must sit inside the statistic's range.
+        widest = MomentConstraint(h, "equality", spec["target"], epsilon=schedule.epsilon(min(config.n_grid)))
     points = window_sweep(
         p,
         h,
-        alpha,
+        float(widest.target[0]),
         schedule,
         list(config.n_grid),
         config.m,

@@ -33,14 +33,13 @@ import numpy as np
 
 from .rng import stream
 from .simplex import Alphabet, BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
-from .tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, solve_moment_equality
+from .tilting import MomentConstraint, MomentFunction, solve_moment_equality
 
 __all__ = [
     "WindowSchedule",
     "McEstimate",
     "WindowSweepPoint",
     "RateFit",
-    "ZeroAcceptanceError",
     "LowEffectiveSampleError",
     "sample_conditional_blocks",
     "window_sweep",
@@ -55,12 +54,9 @@ SE_BATCHES = 10  # batch means behind each window-sweep standard error
 _CHUNK_CELLS = 4 * 10**6  # simulated coordinates per chunk; rows scale as 1/n
 
 
-class ZeroAcceptanceError(RuntimeError):
-    """No proposal landed in the conditioning window (or windows)."""
-
-
 class LowEffectiveSampleError(RuntimeError):
-    """Too little effective sample mass to publish an estimate."""
+    """Too little effective sample mass to publish an estimate; no accepted
+    draw at all is an effective sample size of 0."""
 
 
 @dataclass(frozen=True)
@@ -178,6 +174,8 @@ def _conditioned_draws(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Accepted draws in proposal order: encoded first-m words, their
     self-normalized weights and the weights' effective sample size."""
+    if p.alphabet != c.function.alphabet:
+        raise ValueError("constraint and baseline live on different alphabets")
     if not p.strictly_positive:
         raise ValueError("baseline law must be strictly positive")
     if method not in METHODS:
@@ -193,8 +191,6 @@ def _conditioned_draws(
         proposal, lam, logz = p, 0.0, 0.0
     else:
         solution = solve_moment_equality(p, c.function, [0.5 * (lo + hi)])
-        if not solution.feasible:
-            raise InfeasibleConstraintError(f"window midpoint is not reachable by a tilt: {solution.diagnostic}")
         proposal = solution.tilted
         lam = float(solution.multiplier[0])
         logz = solution.log_partition
@@ -215,7 +211,7 @@ def _conditioned_draws(
             kept_sums.append(sums[keep])
 
     if not kept_words:
-        raise ZeroAcceptanceError(
+        raise LowEffectiveSampleError(
             f"0 of {samples} proposals landed in ({lo}, {hi}); "
             "try the tilt-importance method or a wider window"
         )
@@ -259,9 +255,9 @@ def sample_conditional_blocks(
     h-mean lies in the open window ``c.window``.
 
     ``samples`` is the number of proposal sequences.  Raises ValueError
-    when ``c`` carries no window, :class:`ZeroAcceptanceError` when
-    nothing lands in the window and :class:`LowEffectiveSampleError` when
-    the effective sample size is below 50.
+    when ``c`` carries no window or lives on another alphabet than ``p``,
+    and :class:`LowEffectiveSampleError` when the effective sample size is
+    below 50, nothing landing in the window included.
     """
     word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
     block = _law_from(word_idx, weights, p.alphabet, m)
@@ -301,10 +297,7 @@ def window_sweep(
     (contiguous in proposal order, hence independent) and the TV is
     recomputed per batch.
     """
-    target = solve_moment_equality(p, h, [alpha])
-    if not target.feasible:
-        raise InfeasibleConstraintError(f"target {alpha} is not reachable by a tilt: {target.diagnostic}")
-    product = product_block_law(target.tilted, m)
+    product = product_block_law(solve_moment_equality(p, h, [alpha]).tilted, m)
 
     points = []
     for i, n in enumerate(n_grid):

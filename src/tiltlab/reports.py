@@ -21,6 +21,7 @@ from importlib import resources
 from types import MappingProxyType
 
 from . import __version__
+from .montecarlo import METHODS
 
 __all__ = [
     "EXPERIMENTS",
@@ -63,6 +64,11 @@ _GRID_EXPERIMENTS = ("bernoulli", "theorem1", "windows")
 
 FORMATS = ("json", "csv")
 CSV_SIGNIFICANT_DIGITS = 12
+
+
+def _is_a(value, kinds) -> bool:
+    """isinstance, with a bool counted as no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -108,9 +114,17 @@ class ExperimentConfig:
             if not isinstance(spec, Mapping):
                 raise ConfigError(f"{name} must be a JSON object, got {spec!r}")
             store(name, MappingProxyType(dict(spec)))
-        store("n_grid", tuple(int(v) for v in self.n_grid))
+        store("n_grid", tuple(self.n_grid))
+        if not all(_is_a(v, int) for v in self.n_grid):
+            raise ConfigError(f"n grid entries must be integers, got {self.n_grid}")
         for name in ("t_grid", "interval", "gsm_targets"):
-            store(name, tuple(float(v) for v in getattr(self, name)))
+            values = tuple(getattr(self, name))
+            if not all(_is_a(v, (int, float)) for v in values):
+                raise ConfigError(f"{name} entries must be numbers, got {values}")
+            store(name, tuple(float(v) for v in values))
+        for name in ("samples", "m", "seed", "block_size", "gsm_n", "gsm_block"):
+            if not _is_a(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
 
         for name in ("interval", "gsm_targets"):
             if len(getattr(self, name)) != 2:
@@ -119,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; choose from {FORMATS}")
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.experiment in _GRID_EXPERIMENTS and not self.n_grid:
             raise ConfigError(f"experiment {self.experiment} needs a nonempty n grid")
         if self.experiment == "cf-check" and not self.t_grid:
@@ -145,8 +161,6 @@ class ExperimentConfig:
             raise ConfigError(f"gsm target variance must be > 0, got {self.gsm_targets[1]}")
         if not all(math.isfinite(v) for v in (*self.gsm_targets, self.gsm_epsilon)):
             raise ConfigError(f"gsm targets and epsilon must be finite, got {self.gsm_targets} and {self.gsm_epsilon}")
-        if self.seed is None:
-            raise ConfigError("a seed is required (default 0)")
 
 
 def default_config(experiment: str) -> ExperimentConfig:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .montecarlo import ZeroAcceptanceError
+from .montecarlo import LowEffectiveSampleError
 from .rng import stream
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "RealSample",
     "CfCheckReport",
     "TwoMomentReport",
-    "ZeroAcceptanceError",
     "sample_gsm",
     "empirical_limits",
     "radial_cf_check",
@@ -347,7 +346,7 @@ def condition_two_moments(
     blocks = _accepted_blocks(g, targets, epsilon, n, block, samples, stream(seed, _STREAM_CONDITION))
     accepted = len(blocks)
     if accepted == 0:
-        raise ZeroAcceptanceError(
+        raise LowEffectiveSampleError(
             f"0 of {samples} sequences satisfied both windows around {targets} "
             f"(half-width {epsilon}); the acceptance probability is below "
             f"{1.0 / samples:.2e} -- widen the windows or move the targets"

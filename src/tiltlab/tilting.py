@@ -11,7 +11,8 @@ and the I-projection of P onto a constraint set {Q : E_Q[h] = alpha}
 meeting the constraint.  One Levenberg-damped Newton iteration, the same
 for every dimension d, minimises the strictly convex dual
 lam -> M(lam) - lam . alpha.  Targets off the moment hull fail a per-axis
-range check, or (d >= 2) give a separating direction from the iteration.
+range check, or (d >= 2) give a separating direction from the iteration;
+either way the solve raises :class:`InfeasibleConstraintError`.
 
 Sign convention: the tilt density uses exp(+lam . h).  Raising a mean
 above the baseline mean therefore yields a positive multiplier.
@@ -59,7 +60,8 @@ LATTICE_TOL = 1e-12
 
 
 class InfeasibleConstraintError(ValueError):
-    """A constraint whose target is outside or on the moment hull boundary."""
+    """A constraint that no law meets: its target is outside or on the
+    boundary of the moment hull, or no type of the requested size meets it."""
 
 
 class SolverError(RuntimeError):
@@ -122,16 +124,21 @@ class MomentConstraint:
     def __post_init__(self) -> None:
         if self.kind not in ("equality", "halfspace"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if self.kind == "halfspace" and self.function.dimension != 1:
+            raise ValueError("halfspace constraints are one-dimensional")
+        if self.epsilon is not None and self.function.dimension != 1:
+            raise ValueError("windows are one-dimensional")
         target = np.atleast_1d(np.asarray(self.target, dtype=float))
         if target.shape != (self.function.dimension,):
             raise ValueError(
                 f"target has shape {target.shape}, expected ({self.function.dimension},)"
             )
-        if self.kind == "halfspace" and self.function.dimension != 1:
-            raise ValueError("halfspace constraints are one-dimensional")
+        if not np.all(np.isfinite(target)):
+            raise ValueError(f"target must be finite, got {target.tolist()}")
+        target = target.copy()
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
         if self.epsilon is not None:
-            if self.function.dimension != 1:
-                raise ValueError("windows are one-dimensional")
             if self.epsilon <= 0:
                 raise ValueError(f"window half-width must be > 0, got {self.epsilon}")
             lo, hi = self.window
@@ -141,9 +148,6 @@ class MomentConstraint:
                     f"window ({lo}, {hi}) must sit strictly inside the value range "
                     f"({h.min()}, {h.max()})"
                 )
-        target = target.copy()
-        target.flags.writeable = False
-        object.__setattr__(self, "target", target)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -177,26 +181,17 @@ class TiltSolution:
     """Result of an I-projection / moment solve.
 
     ``status`` is "interior" (the baseline already meets the constraint,
-    multiplier 0), "active" (a genuine tilt, ``residual`` at most
-    ``RESIDUAL_TOL``), or "boundary-infeasible" (the target is outside or
-    on the moment hull boundary and no finite multiplier exists;
-    ``tilted`` is then None and ``diagnostic`` says why).  A target within
-    ``HULL_MARGIN`` of a coordinate's value range is a boundary point; for
-    d >= 2 so is a target that a unit vector u separates from the values
-    up to the margins, max_x u . (h(x) - target) <= max_j |u_j| margin_j.
+    multiplier 0) or "active" (a genuine tilt, ``residual`` at most
+    ``RESIDUAL_TOL``).  A target with no finite multiplier has no solution:
+    the solve raises :class:`InfeasibleConstraintError` instead.
     """
 
     multiplier: np.ndarray
     log_partition: float
-    tilted: Distribution | None
+    tilted: Distribution
     divergence: float
     status: str
     residual: float
-    diagnostic: str = ""
-
-    @property
-    def feasible(self) -> bool:
-        return self.status != "boundary-infeasible"
 
 
 def _require_positive(p: Distribution) -> None:
@@ -280,15 +275,10 @@ def _solution_at(p: Distribution, h: MomentFunction, lam: np.ndarray, alpha: np.
     )
 
 
-def _infeasible(alpha: np.ndarray) -> TiltSolution:
-    return TiltSolution(
-        multiplier=np.full_like(np.atleast_1d(alpha), np.nan),
-        log_partition=math.nan,
-        tilted=None,
-        divergence=math.inf,
-        status="boundary-infeasible",
-        residual=math.inf,
-        diagnostic="target is outside (or on the boundary of) the convex hull of the moment values",
+def _unreachable(alpha: np.ndarray) -> InfeasibleConstraintError:
+    return InfeasibleConstraintError(
+        f"target {alpha.tolist()} is not reachable by a tilt: it is outside "
+        "(or on the boundary of) the convex hull of the moment values"
     )
 
 
@@ -296,8 +286,8 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
     """Tilt ``p`` so that the tilted mean of h equals ``alpha``.
 
     A target within ``HULL_MARGIN`` (relative) of either end of some
-    coordinate's value range is "boundary-infeasible" at once; for scalar h
-    that is the whole hull test.  Otherwise a Levenberg-damped Newton
+    coordinate's value range raises :class:`InfeasibleConstraintError` at
+    once; for scalar h that is the whole hull test.  Otherwise a Levenberg-damped Newton
     iteration minimises the centred dual from the zero multiplier with the
     step (Cov + mu D)^-1 (alpha - E h), D the diagonal of squared value
     spans (mu I in span units).  A step is accepted when the dual
@@ -308,9 +298,9 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
 
     For d >= 2 a target on or beyond a slanted face of the hull leaves the
     iteration unconverged, with the multiplier running off along the
-    face's outer normal.  The target is "boundary-infeasible" when the
-    multiplier's direction, the negative residual or the last accepted
-    step gives a unit vector u with max_x u . (h(x) - alpha) <=
+    face's outer normal.  The target is infeasible, with the same error,
+    when the multiplier's direction, the negative residual or the last
+    accepted step gives a unit vector u with max_x u . (h(x) - alpha) <=
     max_j |u_j| margin_j: no value lies further than the margin past alpha
     along u.  Failing that, the solve raises ``SolverError``.
     """
@@ -321,7 +311,7 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
     lo, hi = h.table.min(axis=0), h.table.max(axis=0)
     margins = HULL_MARGIN * (hi - lo)
     if not np.all((lo + margins < alpha) & (alpha < hi - margins)):
-        return _infeasible(alpha)
+        raise _unreachable(alpha)
 
     lam = np.zeros(h.dimension)
     if np.linalg.norm(moment_map(p, h, lam) - alpha) <= RESIDUAL_TOL:
@@ -361,7 +351,7 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
         if length > 0:
             u = direction / length
             if (shifted @ u).max() <= (np.abs(u) * margins).max():
-                return _infeasible(alpha)
+                raise _unreachable(alpha)
     raise SolverError(
         f"moment solve did not reach residual {RESIDUAL_TOL} (best {norm:.3e}); "
         "the target may lie on or near the boundary of the moment hull, or the "

@@ -12,9 +12,9 @@ import pytest
 from scipy import stats
 
 import tiltlab
-from tiltlab import tilting
-from tiltlab.cli import build_parser, main
-from tiltlab.experiments import _chi2_quantile
+from tiltlab import cli, tilting
+from tiltlab.cli import _config_from_args, build_parser, main
+from tiltlab.experiments import _chi2_quantile, run_experiment
 from tiltlab.reports import (
     ExperimentConfig,
     Report,
@@ -111,6 +111,20 @@ def test_config_requires_nonempty_grid():
         ("gsm", "gsm_epsilon", float("inf"), "gsm targets and epsilon must be finite, got (0.0, 1.0) and inf"),
         ("dice", "constraint", None, "constraint must be a JSON object, got None"),
         ("bernoulli", "baseline", [["kind", "bernoulli"]], "baseline must be a JSON object, got [['kind', 'bernoulli']]"),
+        ("windows", "samples", 100000.5, "samples must be an integer, got 100000.5"),
+        ("theorem1", "m", 1.5, "m must be an integer, got 1.5"),
+        ("dice", "seed", "a", "seed must be an integer, got 'a'"),
+        ("dice-concentration", "seed", 1.5, "seed must be an integer, got 1.5"),
+        ("dice", "seed", True, "seed must be an integer, got True"),
+        ("dice-concentration", "block_size", 1000.0, "block_size must be an integer, got 1000.0"),
+        ("gsm", "gsm_n", False, "gsm_n must be an integer, got False"),
+        ("gsm", "gsm_block", 2.5, "gsm_block must be an integer, got 2.5"),
+        ("theorem1", "n_grid", [20.7, 40], "n grid entries must be integers, got (20.7, 40)"),
+        ("windows", "n_grid", ["a"], "n grid entries must be integers, got ('a',)"),
+        ("cf-check", "t_grid", ["a"], "t_grid entries must be numbers, got ('a',)"),
+        ("dice-concentration", "interval", ["a", 2], "interval entries must be numbers, got ('a', 2)"),
+        ("gsm", "gsm_targets", [None, 1.0], "gsm_targets entries must be numbers, got (None, 1.0)"),
+        ("windows", "method", "foo", "unknown method 'foo'; choose from ('rejection', 'tilt-importance')"),
     ],
 )
 def test_config_rejects_out_of_range_fields(experiment, field, value, message):
@@ -180,7 +194,12 @@ def test_dice_uniform_target(tmp_path):
 
 def test_dice_infeasible_target_exits_2(capsys):
     assert main(["dice", "--target", "6.5"]) == 2
-    assert "convex hull" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: target [6.5] is not reachable by a tilt: it is outside (or on the boundary of) "
+        "the convex hull of the moment values\n"
+    )
 
 
 def test_unknown_experiment_exits_2():
@@ -379,6 +398,93 @@ def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["windows", "--samples", "10"], None, "samples must be >= 1000, got 10"),
+        (["windows", "--gamma", "0.7"], None, "exponent must lie in (0, 0.5) so that n*eps^2 diverges, got 0.7"),
+        (["windows", "--amplitude", "0"], None, "amplitude must be > 0, got 0.0"),
+        (["windows", "--amplitude", "2", "--n-grid", "16"], None, "window (-0.25, 1.75) must sit strictly inside the value range (0.0, 1.0)"),
+        (["bernoulli", "--baseline-p", "0"], None, "baseline law must be strictly positive"),
+        (["bernoulli", "--baseline-p", "1.5"], None, "negative mass entry: min = -0.5"),
+        (["bernoulli", "--baseline-p", "nan"], None, "masses must be finite"),
+        (["dice"], {"baseline": {"kind": "uniform"}}, "baseline spec has no 'k' entry"),
+        (["dice"], {"baseline": {}}, "unknown baseline kind None"),
+        (["dice"], {"baseline": {"kind": "uniform", "k": "six"}}, "invalid literal for int() with base 10: 'six'"),
+        (["dice-concentration"], {"baseline": {"kind": "masses", "values": [0, 0.5, 0.5]}}, "baseline law must be strictly positive"),
+        (["theorem1"], {"constraint": {"kind": "foo", "target": 0.75}}, "unknown constraint kind 'foo'"),
+        (["theorem1"], {"constraint": {"kind": "equality"}}, "constraint spec has no 'target' entry"),
+        (["theorem1"], {"constraint": {"kind": "equality", "target": None}}, "target must be finite, got [nan]"),
+        (
+            ["theorem1"],
+            {"constraint": {"kind": "equality", "h": [1, 1], "target": 1}},
+            "constant moment coordinate: the moment map would be degenerate",
+        ),
+        (["windows"], {"constraint": {"kind": "halfspace", "target": 0.75}}, "windows condition on equality windows, got constraint kind 'halfspace'"),
+        (
+            ["windows"],
+            {"constraint": {"kind": "equality", "target": 0.75, "epsilon": 0.1}},
+            "windows take each window's half-width from the schedule, not from the constraint's epsilon",
+        ),
+        (["windows"], {"constraint": {"kind": "equality", "h": [[0, 1], [1, 0]], "target": 0.75}}, "windows are one-dimensional"),
+        (["windows"], {"constraint": {"kind": "equality", "h": [[0, 1], [1, 0]], "target": [0.75, 0.25]}}, "windows are one-dimensional"),
+    ],
+)
+def test_library_level_inputs_exit_2_as_config_errors(argv, config, message, capsys, tmp_path):
+    # Each config is valid field by field; the runner's input boundary
+    # refuses it before any work, with the library's message.
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"experiment": argv[0], **config}))
+        argv = [*argv, "--config", str(config_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(_config_from_args(build_parser().parse_args(argv)))
+    assert str(exc.value) == message
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch):
+    # A fault inside a run must show as a traceback, not as exit 2.
+    def fault(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("tiltlab.experiments.convergence_sweep", fault)
+    with pytest.raises(ValueError, match="internal"):
+        main(["theorem1"])
+
+
+def test_config_errors_are_the_library_typed_classes():
+    # Bare ValueError or RuntimeError in this tuple would print any internal
+    # fault as a configuration error.
+    assert [cls.__name__ for cls in cli._CONFIG_ERRORS] == [
+        "ConfigError", "InfeasibleConstraintError", "EnumerationCapError", "LowEffectiveSampleError",
+    ]
+    for cls in cli._CONFIG_ERRORS:
+        assert cls.__module__.startswith("tiltlab."), cls
+        assert cls not in (ValueError, RuntimeError, TypeError, Exception)
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        (None, "cannot read config file {0}: [Errno 2] No such file or directory: '{0}'"),
+        ("{not json", "cannot read config file {0}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1, 2]", "cannot read config file {0}: cannot convert dictionary update sequence element #0 to a sequence"),
+    ],
+)
+def test_unreadable_config_file_exits_2(contents, message, capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    if contents is not None:
+        config_path.write_text(contents)
+    assert main(["dice", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(config_path)}\n"
 
 
 @pytest.mark.parametrize("experiment", ["dice", "theorem1"])

@@ -9,7 +9,6 @@ from scipy.special import logsumexp
 
 from tiltlab import exact
 from tiltlab.exact import (
-    EmptyConstraintError,
     EnumerationCapError,
     NonUniqueProjectionError,
     conditional_block_law,
@@ -26,7 +25,7 @@ from tiltlab.exact import (
     type_space_size,
 )
 from tiltlab.simplex import Alphabet, Distribution, product_block_law, tv_distance
-from tiltlab.tilting import MomentConstraint, MomentFunction, i_project
+from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
 
 RNG = np.random.default_rng(40318)
 
@@ -201,7 +200,7 @@ def test_conditional_weights_single_feasible_type():
 
 def test_conditional_weights_empty_names_smallest_feasible_n():
     third = MomentConstraint(COIN_H, "equality", [1 / 3])
-    with pytest.raises(EmptyConstraintError, match="n = 3"):
+    with pytest.raises(InfeasibleConstraintError, match="n = 3"):
         conditional_weights(COIN, third, 4)
 
 
@@ -497,7 +496,7 @@ def assert_matches_per_type_loop(p: Distribution, c: MomentConstraint, n: int) -
     """
     types = [row for row in brute_force_types(p.alphabet.size, n) if reference_satisfies(row, c)]
     if not types:
-        with pytest.raises(EmptyConstraintError):
+        with pytest.raises(InfeasibleConstraintError):
             conditional_weights(p, c, n)
         return
     log_probs = type_log_prob(types, p)

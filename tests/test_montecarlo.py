@@ -11,7 +11,6 @@ from tiltlab.exact import conditional_block_law, enumerate_types, type_satisfies
 from tiltlab.montecarlo import (
     LowEffectiveSampleError,
     WindowSchedule,
-    ZeroAcceptanceError,
     rate_fit,
     sample_conditional_blocks,
     window_sweep,
@@ -102,12 +101,24 @@ def test_importance_beats_rejection_acceptance_in_rare_regime():
 
 
 def test_zero_acceptance_raises_with_advice():
-    with pytest.raises(ZeroAcceptanceError, match="tilt-importance"):
+    # No accepted draw is an effective sample size of 0.
+    with pytest.raises(LowEffectiveSampleError, match="tilt-importance"):
         sample_conditional_blocks(COIN, window(0.95, 0.01), 100, 1, 1000, "rejection", seed=3)
 
 
+@pytest.mark.parametrize("n, m", [(5, 1), (1, 1)])
+def test_constraint_on_another_alphabet_is_refused(n, m):
+    # A statistic on three symbols cannot condition a coin: at n = 5 it would
+    # fail on a shape mismatch, and at n = m = 1 it would condition on the
+    # wrong statistic without a word.
+    c = window(2.0, 0.5, MomentFunction.from_labels(Alphabet.of_size(3)))
+    for method in ("rejection", "tilt-importance"):
+        with pytest.raises(ValueError, match="constraint and baseline live on different alphabets"):
+            sample_conditional_blocks(COIN, c, n, m, 2000, method)
+
+
 def test_low_effective_sample_raises():
-    with pytest.raises((ZeroAcceptanceError, LowEffectiveSampleError)):
+    with pytest.raises(LowEffectiveSampleError):
         sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 10**5, "rejection", seed=5)
 
 

@@ -12,7 +12,6 @@ from tiltlab.rng import stream
 from tiltlab.scale_mixtures import (
     MixingLaw,
     RealSample,
-    ZeroAcceptanceError,
     _accepted_blocks,
     _draw_tile,
     _ks_normal,
@@ -319,14 +318,17 @@ def test_condition_two_moments_wide_window_keeps_mixture():
 
 
 def test_condition_two_moments_zero_acceptance():
-    with pytest.raises(ZeroAcceptanceError, match="acceptance probability"):
+    with pytest.raises(montecarlo.LowEffectiveSampleError, match="acceptance probability"):
         condition_two_moments(TWO_ATOM, (25.0, 1.0), 0.05, 100, 2, 2000, seed=2)
 
 
 def test_zero_acceptance_is_one_error_class():
     # The CLI maps this one class to exit 2 for both the window samplers and
-    # the Gaussian-mixture conditioning.
-    assert ZeroAcceptanceError is montecarlo.ZeroAcceptanceError
+    # the Gaussian-mixture conditioning: no accepted draw is an effective
+    # sample size of 0.
+    assert not hasattr(montecarlo, "ZeroAcceptanceError")
+    assert not hasattr(scale_mixtures, "ZeroAcceptanceError")
+    assert scale_mixtures.LowEffectiveSampleError is montecarlo.LowEffectiveSampleError
 
 
 def test_condition_two_moments_ks_shrinks_along_schedule():

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from tiltlab.simplex import Alphabet, Distribution, entropy, kl_divergence, tv_distance
 from tiltlab.tilting import (
+    InfeasibleConstraintError,
     MomentConstraint,
     MomentFunction,
     SolverError,
@@ -96,11 +97,17 @@ def hull_depth(table: np.ndarray, alpha: np.ndarray) -> float:
     return depth
 
 
-def solve_or_error(p, h, alpha):
+def solve_verdict(p, h, alpha):
+    """(verdict, solution): the solution's status, or "infeasible" when the
+    solve refuses the target and "short" when it stops short of its residual,
+    with no solution."""
     try:
-        return solve_moment_equality(p, h, alpha)
+        sol = solve_moment_equality(p, h, alpha)
+    except InfeasibleConstraintError:
+        return "infeasible", None
     except SolverError:
-        return None
+        return "short", None
+    return sol.status, sol
 
 
 # ------------------------------------------------------------- construction
@@ -244,15 +251,17 @@ def test_die_mean_35_is_interior():
 
 
 def test_die_mean_65_boundary_infeasible():
-    sol = solve_moment_equality(DIE, DIE_H, [6.5])
-    assert sol.status == "boundary-infeasible"
-    assert not sol.feasible
-    assert sol.tilted is None
-    assert math.isinf(sol.divergence)
+    with pytest.raises(InfeasibleConstraintError) as exc:
+        solve_moment_equality(DIE, DIE_H, [6.5])
+    assert str(exc.value) == (
+        "target [6.5] is not reachable by a tilt: it is outside (or on the boundary of) "
+        "the convex hull of the moment values"
+    )
 
 
 def test_die_mean_exactly_six_boundary_infeasible():
-    assert solve_moment_equality(DIE, DIE_H, [6.0]).status == "boundary-infeasible"
+    with pytest.raises(InfeasibleConstraintError, match="convex hull"):
+        solve_moment_equality(DIE, DIE_H, [6.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,8 +269,8 @@ def test_die_mean_exactly_six_boundary_infeasible():
 def test_dual_identity(case):
     p, h, alpha = case
     solved = [(DIE_H, solve_moment_equality(DIE, DIE_H, [target])) for target in (2.0, 3.0, 4.5, 5.5)]
-    random_sol = solve_or_error(p, h, alpha)
-    if random_sol is not None and random_sol.status == "active":
+    verdict, random_sol = solve_verdict(p, h, alpha)
+    if verdict == "active":
         solved.append((h, random_sol))
     for stat, sol in solved:
         mean = sol.tilted.masses @ stat.table
@@ -286,7 +295,7 @@ def test_random_scalar_targets_converge():
         lo, hi = h.table[:, 0].min(), h.table[:, 0].max()
         alpha = lo + (hi - lo) * RNG.uniform(0.05, 0.95)
         sol = solve_moment_equality(p, h, [alpha])
-        assert sol.feasible
+        assert sol.status == "active"
         assert sol.residual <= 1e-10
 
 
@@ -326,7 +335,8 @@ def test_targets_just_past_a_slanted_face_are_boundary_infeasible(eps):
     # margin (an LP at about 1e-7) takes the first two for interior points.
     p = Distribution.uniform(Alphabet.of_size(3))
     h = MomentFunction(p.alphabet, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert solve_moment_equality(p, h, (0.5 + eps) * np.ones(2)).status == "boundary-infeasible"
+    with pytest.raises(InfeasibleConstraintError, match="not reachable by a tilt"):
+        solve_moment_equality(p, h, (0.5 + eps) * np.ones(2))
     inside = solve_moment_equality(p, h, (0.5 - eps) * np.ones(2))
     assert inside.status == "active"
     assert inside.residual <= 1e-10
@@ -337,13 +347,10 @@ def test_targets_just_past_a_slanted_face_are_boundary_infeasible(eps):
 def test_hull_verdicts_match_linprog_reference(case):
     p, h, alpha = case
     depth = hull_depth(h.table, alpha)
-    sol = solve_or_error(p, h, alpha)
+    verdict, sol = solve_verdict(p, h, alpha)
     if abs(depth) > 1e-6:
-        assert sol is not None
-        assert sol.status == ("active" if depth > 0 else "boundary-infeasible")
-    elif sol is not None:
-        assert sol.status in ("interior", "active", "boundary-infeasible")
-    if sol is not None and sol.status == "active":
+        assert verdict == ("active" if depth > 0 else "infeasible")
+    if verdict == "active":
         assert sol.residual <= 1e-10
 
 
@@ -375,7 +382,8 @@ def test_project_halfspace_equals_equality_solve_when_active():
 
 def test_project_infeasible_halfspace():
     c = MomentConstraint(DIE_H, "halfspace", [6.5])
-    assert i_project(DIE, c).status == "boundary-infeasible"
+    with pytest.raises(InfeasibleConstraintError, match="convex hull"):
+        i_project(DIE, c)
 
 
 def test_projection_output_is_feasible():
