@@ -28,12 +28,10 @@ from .tilting import (
     moment_map,
     solve_moment_equality,
     tilt,
-    tilted_cdf,
 )
 from .exact import (
     ConditionalWeights,
     ConvergenceRecord,
-    NonUniqueProjectionError,
     conditional_block_law,
     conditional_weights,
     convergence_sweep,
@@ -41,7 +39,6 @@ from .exact import (
     enumerate_types,
     hypergeometric_block_law,
     hypergeometric_tv_check,
-    kl_gap,
     sanov_bounds_check,
     type_log_prob,
     type_satisfies,

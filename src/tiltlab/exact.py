@@ -43,7 +43,6 @@ __all__ = [
     "ConditionalWeights",
     "ConvergenceRecord",
     "BoundCheck",
-    "NonUniqueProjectionError",
     "enumerate_types",
     "type_log_prob",
     "type_satisfies",
@@ -53,7 +52,6 @@ __all__ = [
     "hypergeometric_tv_check",
     "conditional_block_law",
     "convergence_sweep",
-    "kl_gap",
     "entropy_concentration",
     "EntropyConcentrationReport",
 ]
@@ -63,14 +61,9 @@ WEIGHT_SUM_TOL = 1e-10
 SANOV_SLACK_TOL = 1e-9  # rounding slack of each side of the Sanov sandwich, in nats
 COUPLING_TV_TOL = 1e-12  # rounding slack of the collision-coupling TV bound
 FEASIBLE_PROBE_LIMIT = 400  # largest size probed for the smallest feasible n
-TIE_TOL = 1e-9  # divergence resolution of the kl_gap tie rule, in nats
 # Rows per block of the type table: keeps its temporaries to a few hundred KiB,
 # so enumeration leaves the peak resident set unchanged.
 _BLOCK_ROWS = 1 << 12
-
-
-class NonUniqueProjectionError(ValueError):
-    """Raised when the divergence minimizer over the constraint set is not unique."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,6 @@ class ConditionalWeights:
         weights.flags.writeable = False
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def normalization_check(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -239,11 +228,10 @@ def sanov_bounds_check(counts, p: Distribution) -> BoundCheck:
 
 
 def type_satisfies(counts, c: MomentConstraint) -> np.ndarray:
-    """Which rows of counts have a frequency view that satisfies the
-    constraint, by :meth:`MomentConstraint.holds`, the test the samplers use.
-    """
-    counts, n = _type_rows(counts, c.function.alphabet)
-    return c.holds(counts.astype(float) @ c.function.table / n[:, None])
+    """Which rows of counts satisfy the constraint, by
+    :meth:`MomentConstraint.holds_for_counts`, the reduction the samplers use."""
+    counts, _ = _type_rows(counts, c.function.alphabet)
+    return c.holds_for_counts(counts)
 
 
 def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> ConditionalWeights:
@@ -418,69 +406,14 @@ def convergence_sweep(
     return records
 
 
-def kl_gap(
-    p: Distribution,
-    c: MomentConstraint,
-    delta: float,
-    grid_density: int = 200,
-) -> float:
-    """Divergence gap of the constraint set outside an L1 ball around the
-    projection:
-
-        inf { D(Q||P) - D(P*||P) : Q feasible, ||Q - P*||_1 > delta }.
-
-    Approximated over the feasible lattice of denominator ``grid_density``;
-    each far lattice point is then shrunk along the segment toward the
-    projection onto the L1 sphere of radius delta (the segment stays
-    feasible by convexity and shrinking never increases the divergence), so
-    the returned value is a boundary-refined estimate, clamped at 0.  With
-    no feasible lattice point farther than delta the gap is ``inf``.
-
-    Raises :class:`NonUniqueProjectionError` when the minimal divergence
-    over the feasible lattice is within ``TIE_TOL`` of D(P*||P) and some
-    feasible lattice point farther than delta from the projection is within
-    ``TIE_TOL`` of that minimum: the minimizer is then not unique at
-    resolution delta.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if grid_density < 100:
-        raise ValueError(f"grid_density must be >= 100, got {grid_density}")
-    if c.epsilon is not None:
-        raise ValueError("kl_gap is defined for equality and halfspace constraints, not windows")
-    if delta == 0:
-        return 0.0
-    projection = i_project(p, c)
-    star = projection.tilted.masses
-    d_star = projection.divergence
-
-    lowest = lowest_far = best = math.inf
-    for block in enumerate_types(p.alphabet.size, grid_density):
-        freq = block[type_satisfies(block, c)] / grid_density
-        divs = _divergences(freq / freq.sum(axis=1, keepdims=True), p)
-        dists = np.abs(freq - star).sum(axis=1)
-        far = dists > delta
-        lowest = min(lowest, divs.min(initial=math.inf))
-        lowest_far = min(lowest_far, divs[far].min(initial=math.inf))
-        # Boundary refinement: move each far point toward the projection
-        # until the L1 sphere of radius delta is reached.
-        q = star + (delta / dists[far])[:, None] * (freq[far] - star)
-        best = min(best, (_divergences(q / q.sum(axis=1, keepdims=True), p) - d_star).min(initial=math.inf))
-    if lowest <= d_star + TIE_TOL and lowest_far <= lowest + TIE_TOL:
-        raise NonUniqueProjectionError(
-            "a feasible point at minimal divergence lies farther than delta from the projection"
-        )
-    return max(0.0, float(best))
-
-
 @dataclass(frozen=True)
 class EntropyConcentrationReport:
     """Monte Carlo coverage of an entropy interval for multinomial types.
 
     ``delta_h`` is the divergence of the sampled frequency vector from the
     baseline (for a uniform baseline this equals ln k minus the entropy);
-    quantiles are reported on the 2 N delta_h scale, which is approximately
-    chi-squared with k-1 degrees of freedom for large N.
+    ``q95`` is its 95th percentile on the 2 N delta_h scale, which is
+    approximately chi-squared with k-1 degrees of freedom for large N.
     """
 
     n_per_sample: int
@@ -488,7 +421,7 @@ class EntropyConcentrationReport:
     seed: int
     interval: tuple[float, float]
     coverage: float
-    quantiles: dict[float, float]
+    q95: float
     mean_entropy: float
 
 
@@ -498,13 +431,12 @@ def entropy_concentration(
     samples: int,
     seed: int,
     interval: tuple[float, float],
-    quantile_levels: tuple[float, ...] = (0.95,),
 ) -> EntropyConcentrationReport:
     """Sample multinomial types of size N and report how the entropy of the
     empirical frequencies concentrates.
 
-    Returns the fraction of sampled entropies inside ``interval`` and
-    empirical quantiles of 2 N delta_h.
+    Returns the fraction of sampled entropies inside ``interval`` and the
+    empirical 95th percentile of 2 N delta_h.
     """
     if n_per_sample < 1 or samples < 1:
         raise ValueError("n_per_sample and samples must be >= 1")
@@ -518,14 +450,12 @@ def entropy_concentration(
     delta_h = (plogp - plogq).sum(axis=1)
     lo, hi = interval
     coverage = float(((entropies >= lo) & (entropies <= hi)).mean())
-    scaled = 2.0 * n_per_sample * delta_h
-    quantiles = {float(q): float(np.quantile(scaled, q)) for q in quantile_levels}
     return EntropyConcentrationReport(
         n_per_sample=n_per_sample,
         samples=samples,
         seed=seed,
         interval=(float(lo), float(hi)),
         coverage=coverage,
-        quantiles=quantiles,
+        q95=float(np.quantile(2.0 * n_per_sample * delta_h, 0.95)),
         mean_entropy=float(entropies.mean()),
     )

@@ -64,7 +64,10 @@ def build_baseline(spec: dict) -> Distribution:
     with _spec_boundary("baseline"):
         kind = spec.get("kind")
         if kind == "uniform":
-            p = Distribution.uniform(Alphabet.of_size(int(spec["k"])))
+            k = spec["k"]
+            if type(k) is not int:
+                raise ValueError(f"uniform baseline needs an integer k, got {k!r}")
+            p = Distribution.uniform(Alphabet.of_size(k))
         elif kind == "bernoulli":
             p = Distribution.bernoulli(float(spec["p"]))
         elif kind == "masses":
@@ -202,11 +205,9 @@ def run_dice_concentration(config: ExperimentConfig) -> Report:
         samples=config.samples,
         seed=config.seed,
         interval=config.interval,
-        quantile_levels=(0.95,),
     )
-    k = p.alphabet.size
-    q95 = report.quantiles[0.95]
-    chi2_q95 = _chi2_quantile(0.95, k - 1)
+    q95 = report.q95
+    chi2_q95 = _chi2_quantile(0.95, p.alphabet.size - 1)
     table = Table(
         columns=("n_per_sample", "samples", "interval_lo", "interval_hi", "coverage", "q95_2n_dh", "chi2_q95", "seed"),
         rows=(

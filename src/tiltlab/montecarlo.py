@@ -16,9 +16,11 @@ the first m coordinates explicitly; the remaining n-m coordinates enter the
 window statistic through their symbol counts, one multinomial draw per
 sequence, which has the same joint law as materializing the tail.
 
-A sequence is kept when :meth:`~tiltlab.tilting.MomentConstraint.holds`
-accepts its mean, the test the exact oracle applies to types, so both
-condition on the identical event.
+A sequence is reduced to its type, the row of its symbol counts (the first
+m symbols' counts plus the tail's), and kept when
+:meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts it.  The
+exact oracle reduces its types the same way, so both condition on the
+identical event, and a type's verdict does not depend on its symbols' order.
 
 All randomness flows through counter-based streams keyed by (seed, stream
 id), so estimates are bit-identical across runs for a fixed configuration.
@@ -146,20 +148,20 @@ class RateFit:
 def _draw_window_batch(
     rng: np.random.Generator,
     law: Distribution,
-    h: np.ndarray,
     n: int,
     m: int,
     rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-m symbol indices and full-sequence statistic sums for one chunk."""
+    """First-m symbol indices and full-sequence count rows for one chunk: the
+    tail's multinomial counts plus the counts of the first m symbols."""
     cum = np.cumsum(law.masses)
     cum[-1] = 1.0
     first = np.searchsorted(cum, rng.random((rows, m)), side="right")
-    sums = h[first].sum(axis=1)
-    if n > m:
-        counts = rng.multinomial(n - m, law.masses, size=rows)
-        sums = sums + counts @ h
-    return first, sums
+    counts = rng.multinomial(n - m, law.masses, size=rows)  # at n = m, zero trials use no draws
+    for symbol, tally in enumerate(counts.T):  # each tally is a view into counts
+        for column in first.T:
+            tally += column == symbol
+    return first, counts
 
 
 def _conditioned_draws(
@@ -196,7 +198,6 @@ def _conditioned_draws(
         logz = solution.log_partition
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
-    values = c.function.table[:, 0]
     chunk_rows = max(1, _CHUNK_CELLS // max(n, 1))
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
@@ -204,11 +205,12 @@ def _conditioned_draws(
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         remaining -= rows
-        first, sums = _draw_window_batch(rng, proposal, values, n, m, rows)
-        keep = c.holds(sums / n)
+        first, counts = _draw_window_batch(rng, proposal, n, m, rows)
+        keep = c.holds_for_counts(counts)
         if keep.any():
             kept_words.append(word_index(first[keep], p.alphabet.size, m))
-            kept_sums.append(sums[keep])
+            if method != "rejection":  # only the importance weights read the statistic
+                kept_sums.append(counts[keep] @ c.function.table[:, 0])
 
     if not kept_words:
         raise LowEffectiveSampleError(
@@ -216,11 +218,12 @@ def _conditioned_draws(
             "try the tilt-importance method or a wider window"
         )
     word_idx = np.concatenate(kept_words)
-    sums = np.concatenate(kept_sums)
-    del kept_words, kept_sums  # release the chunk copies before the weights are built
+    del kept_words  # release the chunk copies before the weights are built
     if method == "rejection":
         weights = np.full(word_idx.size, 1.0 / word_idx.size)
     else:
+        sums = np.concatenate(kept_sums)
+        del kept_sums
         # Inverse likelihood ratio of the whole sequence, self-normalized.
         log_w = -lam * sums + n * logz
         log_w -= log_w.max()

@@ -141,12 +141,6 @@ class Distribution:
         """Law on labels ("0", "1") with mass ``p1`` on "1"."""
         return cls(Alphabet(("0", "1")), np.array([1.0 - p1, p1]))
 
-    @classmethod
-    def point_mass(cls, alphabet: Alphabet, index: int) -> "Distribution":
-        masses = np.zeros(alphabet.size)
-        masses[index] = 1.0
-        return cls(alphabet, masses)
-
 
 @dataclass(frozen=True)
 class BlockLaw:
@@ -174,14 +168,6 @@ class BlockLaw:
 
     def mass(self, word: tuple[int, ...]) -> float:
         return float(self.masses[word_index(word, self.alphabet.size, self.m)])
-
-    def marginal(self, coordinate: int) -> Distribution:
-        """Marginal law of one coordinate (0-based)."""
-        if not (0 <= coordinate < self.m):
-            raise ValueError(f"coordinate {coordinate} out of range for m={self.m}")
-        others = tuple(j for j in range(self.m) if j != coordinate)
-        out = self.masses.reshape((self.alphabet.size,) * self.m).sum(axis=others)
-        return Distribution(self.alphabet, out / out.sum())
 
 
 def word_index(words, k: int, m: int):

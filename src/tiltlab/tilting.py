@@ -38,7 +38,6 @@ __all__ = [
     "moment_map",
     "solve_moment_equality",
     "i_project",
-    "tilted_cdf",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -175,6 +174,18 @@ class MomentConstraint:
             return means[:, 0] >= float(self.target[0]) - tol
         return np.all(np.abs(means - self.target) <= tol, axis=1)
 
+    def holds_for_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Which rows of symbol counts, shape (T, k), have a mean that
+        :meth:`holds`: the one reduction from a sequence to the event, shared
+        by the exact oracle and the samplers.  The k columns are added in
+        symbol order, so a row's verdict depends on neither the other rows
+        nor the order of the sequence's symbols.
+        """
+        columns = list(counts.T)
+        size = sum(columns)
+        means = [sum(column * value for column, value in zip(columns, values)) / size for values in self.function.table.T]
+        return self.holds(np.stack(means, axis=1))
+
 
 @dataclass(frozen=True)
 class TiltSolution:
@@ -296,13 +307,14 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
     the residual stops falling, and a solve that ends with residual at most
     ``RESIDUAL_TOL`` is "active".
 
-    For d >= 2 a target on or beyond a slanted face of the hull leaves the
-    iteration unconverged, with the multiplier running off along the
-    face's outer normal.  The target is infeasible, with the same error,
-    when the multiplier's direction, the negative residual or the last
-    accepted step gives a unit vector u with max_x u . (h(x) - alpha) <=
-    max_j |u_j| margin_j: no value lies further than the margin past alpha
-    along u.  Failing that, the solve raises ``SolverError``.
+    For d >= 2 a target on or beyond a slanted face of the hull sends the
+    multiplier off along the face's outer normal; on the face itself the
+    residual can still fall below ``RESIDUAL_TOL``.  So before any solve
+    is accepted, the target is infeasible, with the same error, when the
+    multiplier's direction, the negative residual or the last accepted
+    step gives a unit vector u with max_x u . (h(x) - alpha) <= max_j |u_j|
+    margin_j: no value lies further than the margin past alpha along u.
+    An unconverged solve that passes this test raises ``SolverError``.
     """
     _require_positive(p)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -342,16 +354,16 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
         else:
             mu *= DAMPING_INCREASE
 
-    if norm <= RESIDUAL_TOL:
-        solution = _solution_at(p, h, lam, alpha, "active")
-        if solution.residual <= RESIDUAL_TOL:
-            return solution
     for direction in (lam, -grad, step):
         length = np.linalg.norm(direction)
         if length > 0:
             u = direction / length
             if (shifted @ u).max() <= (np.abs(u) * margins).max():
                 raise _unreachable(alpha)
+    if norm <= RESIDUAL_TOL:
+        solution = _solution_at(p, h, lam, alpha, "active")
+        if solution.residual <= RESIDUAL_TOL:
+            return solution
     raise SolverError(
         f"moment solve did not reach residual {RESIDUAL_TOL} (best {norm:.3e}); "
         "the target may lie on or near the boundary of the moment hull, or the "
@@ -384,13 +396,3 @@ def i_project(p: Distribution, constraint: MomentConstraint) -> TiltSolution:
     if base >= float(alpha[0]):
         return _solution_at(p, h, np.zeros(1), np.array([base]), "interior")
     return solve_moment_equality(p, h, alpha)
-
-
-def tilted_cdf(p: Distribution, h: MomentFunction, lam: float, index: int) -> float:
-    """Cumulative mass of the tilt up to symbol ``index`` in alphabet order."""
-    if h.dimension != 1:
-        raise ValueError("tilted_cdf needs a scalar moment function")
-    if not (0 <= index < p.alphabet.size):
-        raise ValueError(f"symbol index {index} out of range")
-    q = tilt(p, h, [lam])
-    return float(q.masses[: index + 1].sum())

@@ -147,12 +147,10 @@ def test_criterion_1_dice_probability_vector_as_published():
 def test_criterion_2_entropy_concentration():
     start = time.perf_counter()
     die = Distribution.uniform(Alphabet.of_size(6))
-    report = entropy_concentration(
-        die, 1000, 10**5, seed=0, interval=(1.786, 1.792), quantile_levels=(0.95,)
-    )
+    report = entropy_concentration(die, 1000, 10**5, seed=0, interval=(1.786, 1.792))
     elapsed = time.perf_counter() - start
     coverage_err = abs(report.coverage - 0.95)
-    q95 = report.quantiles[0.95]
+    q95 = report.q95
     target = float(chi2.ppf(0.95, 5))
     q_err = abs(q95 - target) / target
     passed = coverage_err <= 0.015 and q_err <= 0.10 and elapsed < 30

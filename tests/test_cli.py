@@ -412,7 +412,7 @@ def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monke
         (["bernoulli", "--baseline-p", "nan"], None, "masses must be finite"),
         (["dice"], {"baseline": {"kind": "uniform"}}, "baseline spec has no 'k' entry"),
         (["dice"], {"baseline": {}}, "unknown baseline kind None"),
-        (["dice"], {"baseline": {"kind": "uniform", "k": "six"}}, "invalid literal for int() with base 10: 'six'"),
+        (["dice"], {"baseline": {"kind": "uniform", "k": "six"}}, "uniform baseline needs an integer k, got 'six'"),
         (["dice-concentration"], {"baseline": {"kind": "masses", "values": [0, 0.5, 0.5]}}, "baseline law must be strictly positive"),
         (["theorem1"], {"constraint": {"kind": "foo", "target": 0.75}}, "unknown constraint kind 'foo'"),
         (["theorem1"], {"constraint": {"kind": "equality"}}, "constraint spec has no 'target' entry"),
@@ -430,6 +430,8 @@ def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monke
         ),
         (["windows"], {"constraint": {"kind": "equality", "h": [[0, 1], [1, 0]], "target": 0.75}}, "windows are one-dimensional"),
         (["windows"], {"constraint": {"kind": "equality", "h": [[0, 1], [1, 0]], "target": [0.75, 0.25]}}, "windows are one-dimensional"),
+        (["dice"], {"baseline": {"kind": "uniform", "k": 6.9}}, "uniform baseline needs an integer k, got 6.9"),
+        (["dice"], {"baseline": {"kind": "uniform", "k": True}}, "uniform baseline needs an integer k, got True"),
     ],
 )
 def test_library_level_inputs_exit_2_as_config_errors(argv, config, message, capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tiltlab import montecarlo
@@ -129,8 +129,8 @@ def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
     die3 = Distribution.uniform(Alphabet.of_size(3))
     rows = np.array([(0, 2), (0, 2), (0, 2), (2, 0)])
 
-    def fixed_batch(rng, law, h, n, m, count):
-        return np.resize(rows, (count, 2)), np.full(count, 2.0 * n)
+    def fixed_batch(rng, law, n, m, count):
+        return np.resize(rows, (count, 2)), np.tile([0, n, 0], (count, 1))  # mean 2
 
     monkeypatch.setattr(montecarlo, "_draw_window_batch", fixed_batch)
     c = window(2.0, 0.5, MomentFunction.from_labels(die3.alphabet))
@@ -162,38 +162,74 @@ def test_unwindowed_constraint_is_refused(kind, target):
         sample_conditional_blocks(COIN, MomentConstraint(COIN_H, kind, [target]), 20, 1, 2000)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_sampler_and_oracle_condition_on_the_same_event(data):
-    # Every type of size n is written as one randomly ordered word, and its
-    # h-sum is taken as the sampler takes it: the first m symbols one by one,
-    # the tail through its symbol counts.  Endpoints are often lattice means.
-    k = data.draw(st.integers(2, 4), label="k")
-    n = data.draw(st.integers(1, 30), label="n")
-    values = data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k), label="values")
+class WordStream:
+    """Stands in for the generator of ``_draw_window_batch`` on a uniform law:
+    its uniforms pick the first m symbols of each word, and its multinomial
+    draw returns the symbol counts of the rest."""
+
+    def __init__(self, words: np.ndarray, m: int, k: int):
+        self.words, self.m, self.k = words, m, k
+
+    def random(self, shape):
+        return (self.words[:, : self.m] + 0.5) / self.k
+
+    def multinomial(self, trials, masses, size):
+        return (self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1)
+
+
+@st.composite
+def window_events(draw):
+    """A statistic on k <= 4 symbols, a size n, an open window (lo, hi) whose
+    endpoints are often lattice means, a block length m and a seed."""
+    k = draw(st.integers(2, 4), label="k")
+    n = draw(st.integers(1, 30), label="n")
+    values = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k), label="values")
     assume(len(set(values)) > 1)
-    denominator = data.draw(st.sampled_from([1, 3, 10]), label="denominator")
+    denominator = draw(st.sampled_from([1, 3, 10]), label="denominator")
     h = MomentFunction(Alphabet.of_size(k), np.array(values) / denominator)
     table = h.table[:, 0]
-    counts = np.concatenate(list(enumerate_types(k, n)))
-    lattice = np.unique(counts @ table / n)
+    lattice = np.unique(np.concatenate(list(enumerate_types(k, n))) @ table / n)
     inside = lattice[(lattice > table.min()) & (lattice < table.max())]
     endpoint = st.floats(float(table.min()), float(table.max()))
     if inside.size:
         endpoint = st.one_of(st.sampled_from(inside.tolist()), endpoint)
-    lo, hi = sorted([data.draw(endpoint, label="lo"), data.draw(endpoint, label="hi")])
+    lo, hi = sorted([draw(endpoint, label="lo"), draw(endpoint, label="hi")])
+    return h, n, lo, hi, draw(st.integers(1, n), label="m"), draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+# The type (0, 3, 4) has mean 0, and the window's upper end less the
+# tolerance of `holds` computes to -2.2e-17.  Seed 0 writes that type with
+# first symbol 1.  That symbol's value plus the tail's counts times the
+# values gave the mean -1.6e-17, against the oracle's -3.2e-17, so a
+# sampler that summed that way dropped a type that the oracle kept.
+FALSIFYING_EVENT = (MomentFunction(Alphabet.of_size(3), [0.0, -0.4, 0.3]), 7, -0.3428571428571429, 1e-12, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_events())
+@example(FALSIFYING_EVENT)
+def test_sampler_and_oracle_condition_on_the_same_event(event):
+    # Every type of size n is written as one randomly ordered word, and the
+    # words, in random order, go through the sampler's batch draw.  It must
+    # return the types as count rows, and the verdict on each row must be the
+    # oracle's, whatever the order of the words and of their symbols.
+    h, n, lo, hi, m, seed = event
+    table = h.table[:, 0]
     target, epsilon = 0.5 * (lo + hi), 0.5 * (hi - lo)
     assume(epsilon > 0 and table.min() < target - epsilon and target + epsilon < table.max())
     c = MomentConstraint(h, "equality", [target], epsilon=epsilon)
 
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    k = h.alphabet.size
+    counts = np.concatenate(list(enumerate_types(k, n)))
+    rng = np.random.default_rng(seed)
     sorted_words = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(len(counts), n)
     words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)
-    m = data.draw(st.integers(1, n), label="m")
-    sums = table[words[:, :m]].sum(axis=1)
-    if n > m:
-        sums = sums + (words[:, m:, None] == np.arange(k)).sum(axis=1) @ table
-    assert np.array_equal(c.holds(sums / n), type_satisfies(counts, c))
+    order = rng.permutation(len(counts))
+    stream = WordStream(words[order], m, k)
+    first, rows = montecarlo._draw_window_batch(stream, Distribution.uniform(h.alphabet), n, m, len(counts))
+    assert np.array_equal(first, words[order, :m])
+    assert np.array_equal(rows, counts[order])
+    assert np.array_equal(c.holds_for_counts(rows), type_satisfies(counts, c)[order])
 
 
 # -------------------------------------------------------------------- sweeps

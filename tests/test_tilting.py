@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -17,7 +17,6 @@ from tiltlab.tilting import (
     moment_map,
     solve_moment_equality,
     tilt,
-    tilted_cdf,
 )
 
 RNG = np.random.default_rng(7011)
@@ -80,6 +79,7 @@ def hull_depth(table: np.ndarray, alpha: np.ndarray) -> float:
         b_ub=np.r_[alpha, -alpha],
         A_eq=weights_sum, b_eq=[1.0], bounds=(0, None), method="highs", options=_HIGHS,
     )
+    assert res.status == 0, res.message
     if res.fun > 0:
         return -res.fun
     depth = math.inf
@@ -93,6 +93,9 @@ def hull_depth(table: np.ndarray, alpha: np.ndarray) -> float:
                 A_eq=np.vstack([np.hstack([table.T, -e]), weights_sum]), b_eq=np.r_[alpha, 1.0],
                 bounds=(0, None), method="highs", options=_HIGHS,
             )
+            if res.status == 2:  # infeasible: alpha is on the hull's boundary to the LP's tolerance
+                return 0.0
+            assert res.status == 0, res.message
             depth = min(depth, -res.fun)
     return depth
 
@@ -327,23 +330,35 @@ def test_near_degenerate_d2_solve(mass, target, multiplier):
     assert not issubclass(SolverError, ValueError)
 
 
-@pytest.mark.parametrize("eps", [1e-8, 3e-8, 1e-7, 1e-5])
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 3e-8, 1e-7, 1e-5])
 def test_targets_just_past_a_slanted_face_are_boundary_infeasible(eps):
-    # (0.5 + eps)(1, 1) lies outside the face x + y = 1 of the triangle but
-    # inside both coordinate ranges, so only the separating certificate can
-    # decide it.  A hull test whose feasibility tolerance is wider than the
-    # margin (an LP at about 1e-7) takes the first two for interior points.
+    # (0.5 + eps)(1, 1) lies on (eps = 0) or outside the face x + y = 1 of
+    # the triangle but inside both coordinate ranges, so only the separating
+    # certificate can decide it.  On the face the solve converges, with a
+    # multiplier near (34, 34), so the certificate must come first.  A hull
+    # test whose feasibility tolerance is wider than the margin (an LP at
+    # about 1e-7) takes 1e-8 and 3e-8 for interior points.
     p = Distribution.uniform(Alphabet.of_size(3))
     h = MomentFunction(p.alphabet, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(InfeasibleConstraintError, match="not reachable by a tilt"):
         solve_moment_equality(p, h, (0.5 + eps) * np.ones(2))
-    inside = solve_moment_equality(p, h, (0.5 - eps) * np.ones(2))
-    assert inside.status == "active"
-    assert inside.residual <= 1e-10
+    if eps > 0:
+        inside = solve_moment_equality(p, h, (0.5 - eps) * np.ones(2))
+        assert inside.status == "active"
+        assert inside.residual <= 1e-10
+
+
+# A target 1e-10 off a segment hull: the reference's inner LPs are infeasible.
+SEGMENT_CASE = (
+    Distribution.uniform(Alphabet.of_size(2)),
+    MomentFunction(Alphabet.of_size(2), np.array([[0.0, 0.0], [1.0, 1.0]])),
+    np.array([0.5, 0.5 + 1e-10]),
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(solve_cases())
+@example(SEGMENT_CASE)
 def test_hull_verdicts_match_linprog_reference(case):
     p, h, alpha = case
     depth = hull_depth(h.table, alpha)
@@ -404,28 +419,3 @@ def test_pythagorean_inequality_for_active_halfspace():
     for q1 in np.linspace(0.75, 0.999, 40):
         q = Distribution.bernoulli(float(q1))
         assert kl_divergence(q, COIN) >= kl_divergence(q, star) + d_star - 1e-8
-
-
-# --------------------------------------------------------------- tilted cdf
-
-
-def test_tilted_cdf_zero_multiplier_is_baseline_cdf():
-    p = Distribution(Alphabet.of_size(4), np.array([0.1, 0.2, 0.3, 0.4]))
-    h = MomentFunction.from_labels(p.alphabet)
-    cdf = [tilted_cdf(p, h, 0.0, i) for i in range(4)]
-    np.testing.assert_allclose(cdf, np.cumsum(p.masses), atol=1e-14)
-
-
-def test_tilted_cdf_die_partial_sum():
-    sol = solve_moment_equality(DIE, DIE_H, [4.5])
-    value = tilted_cdf(DIE, DIE_H, float(sol.multiplier[0]), 2)
-    assert value == pytest.approx(0.246, abs=2e-3)
-
-
-def test_tilted_cdf_last_symbol_is_one():
-    assert tilted_cdf(DIE, DIE_H, 0.7, 5) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tilted_cdf_nondecreasing():
-    values = [tilted_cdf(DIE, DIE_H, -0.9, i) for i in range(6)]
-    assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
