@@ -105,6 +105,14 @@ def _check(name: str, invariant: str, margin: float, detail: str = "") -> CheckR
     )
 
 
+def _is_default_model(config: ExperimentConfig) -> bool:
+    """Are the baseline and constraint the experiment's defaults: the
+    Brandeis die of ``dice``, the fair-coin benchmark of ``bernoulli`` and
+    ``theorem1``?  Reference values and calibrated bounds hold only there."""
+    default = default_config(config.experiment)
+    return (config.baseline, config.constraint) == (default.baseline, default.constraint)
+
+
 def run_dice(config: ExperimentConfig) -> Report:
     """Tilt a die so its mean matches the target and report the law."""
     p = build_baseline(config.baseline)
@@ -141,8 +149,7 @@ def run_dice(config: ExperimentConfig) -> Report:
             ),
         ),
     ]
-    default_target = config.constraint.get("target") == 4.5 and p.alphabet.size == 6
-    if default_target:
+    if _is_default_model(config):
         checks.append(
             _check(
                 "multiplier",
@@ -292,19 +299,13 @@ def _sweep_checks(records, n0_limit: int | None = None) -> list[CheckResult]:
     return checks
 
 
-def _is_fair_coin_benchmark(config: ExperimentConfig) -> bool:
-    """Is the model the default one of ``bernoulli`` and ``theorem1``?"""
-    coin = default_config("theorem1")
-    return (config.baseline, config.constraint) == (coin.baseline, coin.constraint)
-
-
 def run_theorem1(config: ExperimentConfig) -> Report:
     """Exact convergence sweep of the conditional block law toward the
     projected product law."""
     p = build_baseline(config.baseline)
     constraint = build_constraint(config.constraint, p.alphabet)
     records = convergence_sweep(p, constraint, config.m, list(config.n_grid))
-    checks = _sweep_checks(records, n0_limit=40 if _is_fair_coin_benchmark(config) else None)
+    checks = _sweep_checks(records, n0_limit=40 if _is_default_model(config) else None)
     return Report(
         experiment="theorem1",
         config=config,
@@ -341,7 +342,7 @@ def run_bernoulli(config: ExperimentConfig) -> Report:
         ),
     ]
 
-    defaults = _is_fair_coin_benchmark(config)
+    defaults = _is_default_model(config)
     tables = {"summary": summary}
     if defaults:
         block = conditional_block_law(p, constraint, n=4, m=1)

@@ -6,12 +6,17 @@ the empirical mean of its scalar statistic lies in the open window.
 
 * rejection: simulate from the baseline and keep sequences whose mean
   lands in the window,
-* tilt-importance: simulate from the exponential tilt whose mean sits at
-  the window midpoint, keep the windowed sequences, and undo the tilt with
-  self-normalized inverse likelihood-ratio weights exp(-lam*S + n*M(lam)).
+* tilt-importance: simulate from the I-projection of the baseline onto
+  the closed window (:func:`~tiltlab.tilting.i_project`: the baseline
+  itself when its mean is in the window, otherwise the tilt to the nearest
+  endpoint, where the conditional law of the sum piles up), keep the
+  windowed sequences, and undo the tilt with self-normalized inverse
+  likelihood-ratio weights exp(-lam*S + n*M(lam)).
 
 Importance proposals turn the rare window event into a typical one, which
-is what makes far-from-baseline targets tractable.  Both samplers draw only
+is what makes far-from-baseline targets tractable.  The weights still thin
+out as n grows, but slowly: the effective sample size falls roughly like
+n^(-1/2), not exponentially in n.  Both samplers draw only
 the first m coordinates explicitly; the remaining n-m coordinates enter the
 window statistic through their symbol counts, one multinomial draw per
 sequence, which has the same joint law as materializing the tail.
@@ -35,7 +40,7 @@ import numpy as np
 
 from .rng import stream
 from .simplex import Alphabet, BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
-from .tilting import MomentConstraint, MomentFunction, solve_moment_equality
+from .tilting import MomentConstraint, MomentFunction, i_project, solve_moment_equality
 
 __all__ = [
     "WindowSchedule",
@@ -99,15 +104,10 @@ class McEstimate:
 
     block: BlockLaw
     std_errors: np.ndarray = field(repr=False)
-    proposals: int
     accepted: int
     ess: float
     method: str
     seed: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.proposals
 
     def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
         """(estimate, standard error) for one word; (0, 0) if never seen."""
@@ -192,7 +192,7 @@ def _conditioned_draws(
     if method == "rejection":
         proposal, lam, logz = p, 0.0, 0.0
     else:
-        solution = solve_moment_equality(p, c.function, [0.5 * (lo + hi)])
+        solution = i_project(p, c)
         proposal = solution.tilted
         lam = float(solution.multiplier[0])
         logz = solution.log_partition
@@ -234,7 +234,7 @@ def _conditioned_draws(
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} < {MIN_ESS:.0f} at n = {n}; "
             "increase samples or lower n (whole-sequence importance weights "
-            "degenerate as n grows)"
+            "thin out as n grows)"
         )
     return word_idx, weights, ess
 
@@ -272,7 +272,6 @@ def sample_conditional_blocks(
     return McEstimate(
         block=block,
         std_errors=np.sqrt(np.maximum(variances, 0.0)),
-        proposals=samples,
         accepted=int(word_idx.size),
         ess=ess,
         method=method,

@@ -6,13 +6,14 @@ exponential tilt with multiplier ``lam`` is
     P_lam(x) = P(x) * exp(lam . h(x) - M(lam)),
     M(lam)   = ln sum_x P(x) exp(lam . h(x)),
 
-and the I-projection of P onto a constraint set {Q : E_Q[h] = alpha}
-(or a one-dimensional halfspace {E_Q[h] >= alpha}) is the unique tilt
-meeting the constraint.  One Levenberg-damped Newton iteration, the same
-for every dimension d, minimises the strictly convex dual
-lam -> M(lam) - lam . alpha.  Targets off the moment hull fail a per-axis
-range check, or (d >= 2) give a separating direction from the iteration;
-either way the solve raises :class:`InfeasibleConstraintError`.
+and the I-projection of P onto a constraint set {Q : E_Q[h] = alpha} is
+the unique tilt meeting the constraint; onto a closed interval of scalar
+means (a halfspace or a window) it is P itself when P's mean lies inside,
+and otherwise the tilt to the nearest endpoint.  One Levenberg-damped
+Newton iteration, the same for every dimension d, minimises the strictly
+convex dual lam -> M(lam) - lam . alpha.  Targets off the moment hull fail
+a per-axis range check, or (d >= 2) give a separating direction from the
+iteration; either way the solve raises :class:`InfeasibleConstraintError`.
 
 Sign convention: the tilt density uses exp(+lam . h).  Raising a mean
 above the baseline mean therefore yields a positive multiplier.
@@ -106,13 +107,15 @@ class MomentFunction:
 
 @dataclass(frozen=True)
 class MomentConstraint:
-    """An equality or lower-halfspace constraint on E_Q[h], optionally windowed.
+    """An equality or lower-halfspace constraint on E_Q[h], the equality
+    optionally windowed.
 
     ``kind`` is "equality" or "halfspace" (meaning E_Q[h] >= target, d = 1
-    only).  A window half-width ``epsilon`` turns the target into the open
-    interval (target - epsilon, target + epsilon) on the scalar moment;
-    windows are the positive-probability stand-in for exact equality events
-    and require inf h < a < b < sup h.
+    only).  A window half-width ``epsilon`` turns an equality target into
+    the open interval (target - epsilon, target + epsilon) on the scalar
+    moment; windows are the positive-probability stand-in for exact
+    equality events and require inf h < a < b < sup h.  A halfspace takes
+    no window.
     """
 
     function: MomentFunction
@@ -127,6 +130,8 @@ class MomentConstraint:
             raise ValueError("halfspace constraints are one-dimensional")
         if self.epsilon is not None and self.function.dimension != 1:
             raise ValueError("windows are one-dimensional")
+        if self.epsilon is not None and self.kind == "halfspace":
+            raise ValueError("a halfspace takes no window: epsilon applies to equality targets only")
         target = np.atleast_1d(np.asarray(self.target, dtype=float))
         if target.shape != (self.function.dimension,):
             raise ValueError(
@@ -372,27 +377,21 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
 
 
 def i_project(p: Distribution, constraint: MomentConstraint) -> TiltSolution:
-    """I-projection of ``p`` onto the constraint set.
+    """I-projection of ``p`` onto the constraint set (Csiszar 1975).
 
-    Equality constraints delegate to the moment solve.  For a halfspace
-    E_Q[h] >= target the projection is ``p`` itself when the baseline
-    already satisfies it (inactive constraint, multiplier 0) and the
-    equality tilt otherwise.  Windowed constraints project onto the window
-    midpoint's equality slice when the baseline mean is outside the window.
+    An unwindowed equality delegates to the moment solve.  A halfspace
+    E_Q[h] >= target is the closed interval [target, inf) of means and a
+    window the closed interval [lo, hi]; onto either, the projection is
+    ``p`` itself (status "interior", multiplier 0) when the baseline mean
+    lies in the interval, and otherwise the equality tilt to the nearest
+    endpoint, min(max(base, lo), hi).
     """
     _require_positive(p)
     h = constraint.function
-    alpha = constraint.target
-    if constraint.epsilon is not None:
-        lo, hi = constraint.window
-        base = float(p.masses @ h.table[:, 0])
-        if lo < base < hi:
-            return _solution_at(p, h, np.zeros(1), np.array([base]), "interior")
-        return solve_moment_equality(p, h, [0.5 * (lo + hi)])
-    if constraint.kind == "equality":
-        return solve_moment_equality(p, h, alpha)
-    # Halfspace: inactive constraint when the baseline mean already clears the target.
+    if constraint.kind == "equality" and constraint.epsilon is None:
+        return solve_moment_equality(p, h, constraint.target)
+    lo, hi = constraint.window if constraint.epsilon is not None else (float(constraint.target[0]), math.inf)
     base = float(p.masses @ h.table[:, 0])
-    if base >= float(alpha[0]):
+    if lo <= base <= hi:
         return _solution_at(p, h, np.zeros(1), np.array([base]), "interior")
-    return solve_moment_equality(p, h, alpha)
+    return solve_moment_equality(p, h, [min(max(base, lo), hi)])

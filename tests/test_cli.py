@@ -178,8 +178,31 @@ def test_dice_default_passes(capsys, tmp_path):
     validate_report_dict(raw)
     tilt = dict(zip(raw["tables"]["tilt"]["columns"], zip(*raw["tables"]["tilt"]["rows"])))
     assert [round(v, 3) for v in tilt["probability"]] == [0.054, 0.079, 0.114, 0.165, 0.240, 0.347]
+    assert [c["name"] for c in raw["checks"]] == [
+        "solver-residual", "dual-identity", "multiplier", "tilted-law", "tilted-entropy", "divergence", "max-entropy"
+    ]
     err = capsys.readouterr().err
     assert "PASS" in err and "FAIL" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"baseline": {"kind": "masses", "values": [0.1, 0.1, 0.1, 0.1, 0.1, 0.5]}},
+        {"constraint": {"kind": "equality", "h": [6, 5, 4, 3, 2, 1], "target": 4.5}},
+        {"constraint": {"kind": "equality", "target": 4.5, "epsilon": 0.1}},
+    ],
+)
+def test_dice_reference_checks_apply_only_to_the_brandeis_die(spec, tmp_path):
+    # A loaded die, a reversed statistic and a window all have six symbols
+    # and the target 4.5, but none is the Brandeis problem, so its known
+    # solution is no reference for them.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment": "dice", **spec}))
+    out = tmp_path / "dice.json"
+    assert main(["dice", "--config", str(config_path), "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["solver-residual", "dual-identity", "max-entropy"]
 
 
 def test_dice_uniform_target(tmp_path):
@@ -432,6 +455,11 @@ def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monke
         (["windows"], {"constraint": {"kind": "equality", "h": [[0, 1], [1, 0]], "target": [0.75, 0.25]}}, "windows are one-dimensional"),
         (["dice"], {"baseline": {"kind": "uniform", "k": 6.9}}, "uniform baseline needs an integer k, got 6.9"),
         (["dice"], {"baseline": {"kind": "uniform", "k": True}}, "uniform baseline needs an integer k, got True"),
+        (
+            ["theorem1"],
+            {"constraint": {"kind": "halfspace", "target": 0.75, "epsilon": 0.1}},
+            "a halfspace takes no window: epsilon applies to equality targets only",
+        ),
     ],
 )
 def test_library_level_inputs_exit_2_as_config_errors(argv, config, message, capsys, tmp_path):

@@ -318,6 +318,16 @@ def test_convergence_sweep_coin():
         assert r.delta == pytest.approx(r.n ** (-1 / 3))
 
 
+def test_fixed_window_sweep_converges_to_the_i_projection():
+    # The window (0.65, 0.85) does not hold the baseline mean 0.5, so the
+    # conditional law piles up at its near end: the limit is the tilt to
+    # 0.65, not to the midpoint, and the exact distance falls like 1/n.
+    window = MomentConstraint(COIN_H, "equality", [0.75], epsilon=0.1)
+    assert i_project(COIN, window).tilted.masses[1] == pytest.approx(0.65, abs=1e-10)
+    for r in convergence_sweep(COIN, window, 1, [400, 1600, 6400]):
+        assert r.n * r.tv <= 3.0
+
+
 def test_convergence_sweep_vacuous_constraint():
     vacuous = MomentConstraint(COIN_H, "halfspace", [0.0])
     records = convergence_sweep(COIN, vacuous, 2, [10, 20, 40])

@@ -15,7 +15,7 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
-from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError
+from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError, product_block_law, tv_distance
 from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction
 
 COIN = Distribution.bernoulli(0.5)
@@ -95,9 +95,11 @@ def test_window_oracle_constant_matches_package_oracle():
 
 
 def test_importance_beats_rejection_acceptance_in_rare_regime():
-    imp = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 10**5, "tilt-importance", seed=1)
+    # The same proposal budget: rejection keeps about 1 in 60,000 sequences,
+    # the proposal tilted to the window's near end about half of them.
+    imp = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 6 * 10**6, "tilt-importance", seed=1)
     rej = sample_conditional_blocks(COIN, window(0.75, 0.05), 100, 1, 6 * 10**6, "rejection", seed=1)
-    assert imp.acceptance_rate > rej.acceptance_rate
+    assert imp.accepted > 1000 * rej.accepted
 
 
 def test_zero_acceptance_raises_with_advice():
@@ -249,11 +251,26 @@ def test_window_sweep_shrinking_trend():
 
 
 def test_window_sweep_degenerate_weights_raise():
-    # Whole-sequence importance weights collapse once the window is wide on
-    # the CLT scale; the sweep must refuse to publish such estimates.
+    # Whole-sequence importance weights thin out as n grows; at n = 10^5 a
+    # thousand proposals leave an effective sample size of about 5, and the
+    # sweep must refuse to publish such an estimate.
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
     with pytest.raises(LowEffectiveSampleError, match="effective sample size"):
-        window_sweep(COIN, COIN_H, 0.75, schedule, [400], m=1, samples=10**5, seed=0)
+        window_sweep(COIN, COIN_H, 0.75, schedule, [10**5], m=1, samples=1000, seed=0)
+
+
+def test_window_sweep_reaches_large_n_within_4_se_of_the_exact_oracle():
+    # The default schedule of `windows` out to n = 10^4: the proposal tilted
+    # to each window's near end keeps the weights usable, and every point
+    # agrees with the exact conditional law.
+    schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
+    grid = [25, 50, 100, 150, 200, 400, 1600, 10**4]
+    points = window_sweep(COIN, COIN_H, 0.75, schedule, grid, m=1, samples=4 * 10**5, seed=0)
+    product = product_block_law(Distribution.bernoulli(0.75), 1)
+    for pt in points:
+        exact = conditional_block_law(COIN, window(0.75, pt.epsilon), pt.n, 1)
+        assert abs(pt.tv_estimate - tv_distance(exact, product)) <= 4 * pt.std_error
+        assert pt.ess >= 50
 
 
 def test_window_sweep_unreachable_target_is_a_typed_infeasibility():

@@ -392,7 +392,26 @@ def test_project_halfspace_equals_equality_solve_when_active():
     c = MomentConstraint(DIE_H, "halfspace", [4.5])
     by_projection = i_project(DIE, c)
     by_equality = solve_moment_equality(DIE, DIE_H, [4.5])
-    assert tv_distance(by_projection.tilted, by_equality.tilted) <= 1e-12
+    assert np.array_equal(by_projection.tilted.masses, by_equality.tilted.masses)
+    assert np.array_equal(by_projection.multiplier, by_equality.multiplier)
+
+
+def test_project_window_with_the_baseline_mean_on_its_closed_end_keeps_baseline():
+    # The die's mean 3.5 is the lower end of (3.5, 4.5): the closed window
+    # holds it, so the projection is the baseline, not a tilt into the window.
+    sol = i_project(DIE, MomentConstraint(DIE_H, "equality", [4.0], epsilon=0.5))
+    assert sol.status == "interior"
+    assert np.all(sol.multiplier == 0.0)
+    assert sol.tilted is DIE
+
+
+@pytest.mark.parametrize("target, end", [(2.5, 3.0), (5.0, 4.5)])
+def test_project_window_tilts_to_the_nearest_end(target, end):
+    # (2.0, 3.0) lies below the die's mean and (4.5, 5.5) above it.
+    sol = i_project(DIE, MomentConstraint(DIE_H, "equality", [target], epsilon=0.5))
+    assert sol.status == "active"
+    assert np.array_equal(sol.tilted.masses, solve_moment_equality(DIE, DIE_H, [end]).tilted.masses)
+    assert abs(float(sol.tilted.masses @ DIE_H.table[:, 0]) - end) <= 1e-10
 
 
 def test_project_infeasible_halfspace():
