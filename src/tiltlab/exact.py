@@ -26,14 +26,12 @@ and return one value per row; the two hypergeometric functions take one row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .rng import stream
 from .simplex import Alphabet, BlockLaw, Distribution, EnumerationCapError, check_word_cap, product_block_law, tv_distance
@@ -61,8 +59,8 @@ WEIGHT_SUM_TOL = 1e-10
 SANOV_SLACK_TOL = 1e-9  # rounding slack of each side of the Sanov sandwich, in nats
 COUPLING_TV_TOL = 1e-12  # rounding slack of the collision-coupling TV bound
 FEASIBLE_PROBE_LIMIT = 400  # largest size probed for the smallest feasible n
-# Rows per block of the type table: keeps its temporaries to a few hundred KiB,
-# so enumeration leaves the peak resident set unchanged.
+# Rows per block of the type table and per table of prefixes grown for it: a few
+# hundred KiB of temporaries, so enumeration leaves the peak resident set unchanged.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -166,38 +164,57 @@ def type_space_size(k: int, n: int) -> int:
 
 
 def enumerate_types(k: int, n: int) -> Iterator[np.ndarray]:
-    """Every type of size ``n`` on k symbols as rows of counts, in
+    """Every type of size ``n`` on k symbols as int64 rows of counts, in
     lexicographic order and in blocks of at most ``_BLOCK_ROWS`` rows.
 
-    Stars and bars: the lexicographic (k-1)-subsets of n+k-1 slots are the
-    bar positions, and the counts are the gaps between bars.  Refuses
-    upfront, before any allocation, when C(n+k-1, k-1) exceeds
-    ``DEFAULT_TYPE_CAP``.
+    The rows grow one symbol at a time: a prefix with r counts left has the
+    children 0..r, and the last symbol takes what is left.  Refuses upfront,
+    before any allocation, when C(n+k-1, k-1) exceeds ``DEFAULT_TYPE_CAP``.
     """
     if n < 1:
         raise ValueError(f"type size must be >= 1, got {n}")
     count = type_space_size(k, n)
     if count > DEFAULT_TYPE_CAP:
         raise EnumerationCapError(f"{count} types of size {n} on {k} symbols exceed the cap of {DEFAULT_TYPE_CAP}")
-    bars = itertools.combinations(range(n + k - 1), k - 1)
+    return _grow(np.empty((1, 0), dtype=np.int64), np.array([n]), k)
 
-    def blocks() -> Iterator[np.ndarray]:
-        while True:
-            flat = itertools.chain.from_iterable(itertools.islice(bars, _BLOCK_ROWS))
-            inner = np.fromiter(flat, dtype=np.int32).reshape(-1, k - 1)
-            if not len(inner):
-                return
-            yield np.diff(inner, axis=1, prepend=-1, append=n + k - 1) - 1
 
-    return blocks()
+def _grow(prefixes: np.ndarray, left: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Blocks of every type that extends a row of ``prefixes`` by its ``left``
+    counts, in lexicographic order.  The prefixes are cut into runs whose
+    children fill one block; a prefix with more children is a run of its own."""
+    if prefixes.shape[1] == k - 1:
+        yield np.column_stack((prefixes, left))
+        return
+    ends = np.cumsum(left + 1)
+    start = 0
+    while start < len(left):
+        first = ends[start] - left[start] - 1  # children of the prefixes before this run
+        stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK_ROWS, side="right")))
+        sizes = left[start:stop] + 1
+        total = int(ends[stop - 1] - first)
+        for lo in range(0, total, _BLOCK_ROWS):  # more than once only for a run of one prefix
+            hi = min(lo + _BLOCK_ROWS, total)
+            repeats = sizes if stop - start > 1 else hi - lo
+            counts = np.arange(lo, hi) - np.repeat(ends[start:stop] - sizes - first, repeats)
+            children = np.column_stack((np.repeat(prefixes[start:stop], repeats, axis=0), counts))
+            yield from _grow(children, np.repeat(left[start:stop], repeats) - counts, k)
+        start = stop
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """ln i! for i < ``size``, a power of two so that few tables are made, by ``math.lgamma``."""
+    table = np.array([math.lgamma(i + 1.0) for i in range(size)])
+    table.flags.writeable = False  # one cached table serves every caller
+    return table
 
 
 def type_log_prob(counts, p: Distribution) -> np.ndarray:
     """Exact multinomial log-probability of each row of counts under ``p``."""
     counts, n = _type_rows(counts, p.alphabet, p)
-    counts = counts.astype(float)
-    coeff = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-    return coeff + (counts * np.log(p.masses)).sum(axis=1)
+    log_factorial = _log_factorials(1 << int(n.max(initial=0)).bit_length())
+    return log_factorial[n] - log_factorial[counts].sum(axis=1) + (counts * np.log(p.masses)).sum(axis=1)
 
 
 def _divergences(freq: np.ndarray, p: Distribution) -> np.ndarray:
@@ -252,7 +269,8 @@ def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> Conditi
             hint = f"; smallest feasible size is n = {smallest}"
         raise InfeasibleConstraintError(f"no type of size {n} satisfies the constraint{hint}")
     log_probs = type_log_prob(rows, p)
-    total = logsumexp(log_probs)
+    top = log_probs.max()
+    total = top + np.log(np.exp(log_probs - top).sum())
     weights = np.exp(log_probs - total)
     weights /= weights.sum()
     return ConditionalWeights(constraint=c, n=n, types=rows, weights=weights, event_log_prob=float(total))

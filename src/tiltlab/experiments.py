@@ -16,7 +16,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .exact import (
     conditional_block_law,
@@ -90,10 +89,12 @@ def _moment_function(spec: dict, alphabet: Alphabet) -> MomentFunction:
 def build_constraint(spec: dict, alphabet: Alphabet) -> MomentConstraint:
     """The moment constraint of a spec on ``alphabet``, or ConfigError."""
     with _spec_boundary("constraint"):
+        if spec.get("kind") is None:
+            raise ValueError("constraint needs a kind")
         epsilon = spec.get("epsilon")
         return MomentConstraint(
             function=_moment_function(spec, alphabet),
-            kind=spec.get("kind", "halfspace"),
+            kind=spec["kind"],
             target=spec["target"],
             epsilon=None if epsilon is None else float(epsilon),
         )
@@ -200,6 +201,7 @@ def run_dice(config: ExperimentConfig) -> Report:
 
 def _chi2_quantile(level: float, df: int) -> float:
     """The chi-square(df) quantile at ``level``, by the formula of scipy.stats.chi2.ppf."""
+    from scipy.special import gammaincinv  # imported here: only dice-concentration needs scipy
     return float(2 * gammaincinv(df / 2, level))
 
 
@@ -395,7 +397,9 @@ def run_windows(config: ExperimentConfig) -> Report:
     """Monte Carlo shrinking-window sweep against the tilted product law."""
     p = build_baseline(config.baseline)
     spec = config.constraint
-    if spec.get("kind", "equality") != "equality":
+    if spec.get("kind") is None:
+        raise ConfigError("constraint needs a kind")
+    if spec["kind"] != "equality":
         raise ConfigError(f"windows condition on equality windows, got constraint kind {spec['kind']!r}")
     if "epsilon" in spec:
         raise ConfigError("windows take each window's half-width from the schedule, not from the constraint's epsilon")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .montecarlo import LowEffectiveSampleError
 from .rng import stream
@@ -44,6 +43,7 @@ _STREAM_CONDITION = 12
 # Rows per sampling tile are this over (block + 1), the cells drawn per row:
 # small enough for a tile's arrays to stay in cache.
 _TILE_CELLS = 2**16
+_KS_STRIDE = 64  # the KS distance evaluates the normal CDF at every 64th sorted point first
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,7 @@ def _inverse_gamma_laplace(shape: float, bs: float) -> float:
     K_{v+1} = K_{v-1} + (2v/z) K_v.  Its terms are all positive, and no Bessel
     value of a large order is formed, so nothing overflows.
     """
+    from scipy import special  # imported here: only this function needs scipy
     z = 2.0 * math.sqrt(bs)
 
     def direct(order: float) -> float:
@@ -154,8 +155,7 @@ class RealSample:
     latent: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values = values.copy()
+        values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -255,18 +255,64 @@ class TwoMomentReport:
     seed: int
 
 
-def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
-    """One-sample Kolmogorov-Smirnov distance of ``sample`` from N(mean, sd^2).
+# Cephes ndtr.c's fits for erf and erfc, highest degree first; a leading 1.0 makes polevl act as p1evl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996732e2
 
-    The two one-sided distances of the sorted sample's CDF values from the
-    empirical step function, as ``scipy.stats.kstest`` computes them,
-    without its p-value.
-    """
-    cdf = special.ndtr((np.sort(sample) - mean) / sd)
-    size = cdf.size
-    d_plus = (np.arange(1.0, size + 1) / size - cdf).max()
-    d_minus = (cdf - np.arange(0.0, size) / size).max()
-    return float(max(d_plus, d_minus))
+
+def _polevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """The polynomial at each x by Horner's rule, in Cephes ``polevl``'s order."""
+    value = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        value = value * x + c
+    return value
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, bit for bit as Cephes ``ndtr`` (and so
+    ``scipy.special.ndtr``) computes it, with libm's ``exp`` from ``math``."""
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    y = np.empty_like(z)
+    inner = z < 1.0  # erf(x) = x T(x^2) / U(x^2); below sqrt(1/2), ndtr is 0.5 + 0.5 erf(x)
+    w = x[inner]
+    erf = w * _polevl(w * w, _ERF_T) / _polevl(w * w, _ERF_U)
+    y[inner] = np.where(z[inner] < math.sqrt(0.5), 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
+    w = np.minimum(z[~inner], 27.0)  # erfc(z) = exp(-z^2) P(z) / Q(z), and 0 once z^2 > MAXLOG (as 27^2 is)
+    e = np.array([math.exp(v) if v >= -_MAXLOG else 0.0 for v in (-w * w).tolist()])
+    p = np.where(w < 8.0, _polevl(w, _ERFC_P), _polevl(w, _ERFC_R))
+    y[~inner] = 0.5 * (e * p / np.where(w < 8.0, _polevl(w, _ERFC_Q), _polevl(w, _ERFC_S)))
+    return np.where((z >= math.sqrt(0.5)) & (x > 0), 1.0 - y, y)
+
+
+def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
+    """One-sample Kolmogorov-Smirnov distance of ``sample`` from N(mean, sd^2),
+    bit for bit as ``scipy.stats.kstest``: the largest gap max((i+1)/n - F_i,
+    F_i - i/n) at a sorted point i.  F is evaluated at every ``_KS_STRIDE``-th
+    point first.  F and i/n rise, so a point strictly between two such knots
+    a < b has a gap below max((b+1)/n - F_a, F_b - a/n), with 1/n to spare for
+    rounding; F is evaluated inside a segment only if that reaches the largest gap."""
+    z = (np.sort(sample) - mean) / sd
+    size = z.size
+    knots = np.append(np.arange(0, size - 1, _KS_STRIDE), size - 1)
+    cdf = _ndtr(z[knots])
+    best = np.maximum((knots + 1.0) / size - cdf, cdf - knots / size).max()
+    reach = np.maximum((knots[1:] + 1.0) / size - cdf[:-1], cdf[1:] - knots[:-1] / size) >= best
+    rows = np.minimum(knots[:-1][reach, None] + np.arange(1, _KS_STRIDE), size - 1).ravel()
+    cdf = _ndtr(z[rows])
+    return float(np.maximum((rows + 1.0) / size - cdf, cdf - rows / size).max(initial=best))
 
 
 def _draw_tile(g: MixingLaw, n: int, block: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

@@ -1,11 +1,12 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from tiltlab import exact
 from tiltlab.exact import (
@@ -461,14 +462,29 @@ def assert_matches_per_type_loop(p: Distribution, c: MomentConstraint, n: int) -
     assert weights.event_log_prob == pytest.approx(event, abs=1e-12)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_type_table_matches_brute_force(k, monkeypatch):
-    # Small blocks make every table span several of them.
+    # Small blocks make every table span several of them.  On two symbols,
+    # a size past the block gives one prefix more children than a block holds.
     monkeypatch.setattr(exact, "_BLOCK_ROWS", 7)
-    for n in range(1, 13):
+    for n in [*range(1, 13), *([15, 21, 22] if k <= 2 else [])]:
         blocks = list(enumerate_types(k, n))
-        assert all(len(block) <= 7 for block in blocks)
+        assert all(len(block) <= 7 and block.dtype == np.int64 for block in blocks)
         assert [tuple(row) for row in np.concatenate(blocks).tolist()] == brute_force_types(k, n)
+
+
+def test_log_factorial_table_is_no_farther_from_mpmath_than_gammaln():
+    # Summed absolute error against 40-digit log-factorials, at every n up
+    # to 2,000 and at 2,000 sizes up to 2e5.
+    ns = np.concatenate([np.arange(2001), np.random.default_rng(2).integers(2001, 200_001, 2000)])
+    table = exact._log_factorials(1 << 18)[ns]
+    with mpmath.workdps(40):
+        reference = [mpmath.loggamma(n + 1) for n in ns.tolist()]
+
+        def error(values):
+            return float(sum(abs(mpmath.mpf(v) - r) for v, r in zip(values.tolist(), reference)))
+
+        assert error(table) <= error(gammaln(ns + 1.0))
 
 
 def test_type_table_cap_refused_before_any_block(monkeypatch):

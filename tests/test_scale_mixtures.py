@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from tiltlab import montecarlo, scale_mixtures
 from tiltlab.experiments import _default_gsm_mixing
@@ -297,6 +297,23 @@ def test_ks_statistic_of_default_gsm_run_equals_scipy_kstest():
     expected = stats.kstest(pooled, "norm", args=(mean, math.sqrt(variance))).statistic
     assert _ks_normal(pooled, mean, math.sqrt(variance)) == expected
     assert condition_two_moments(*args, seed=config.seed).ks_statistic == expected
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    # Random points, and each branch edge of Cephes ndtr after the scaling
+    # x = a / sqrt(2): |x| = 1/sqrt(2) (erf or erfc), |x| = 1 (erfc by erf),
+    # |x| = 8 (the two erfc fits) and x^2 = MAXLOG (erfc underflows to 0).
+    rng = np.random.default_rng(46)
+    points = [rng.normal(0.0, 4.0, 100_000), rng.uniform(-40.0, 40.0, 20_000), np.array([0.0, np.inf, -np.inf])]
+    for edge in (math.sqrt(0.5), 1.0, 8.0, math.sqrt(scale_mixtures._MAXLOG)):
+        a = edge / math.sqrt(0.5)
+        near = a * (1.0 + np.arange(-200, 201) * 1e-15)
+        points += [near, -near, np.nextafter(a, [0.0, np.inf]), -np.nextafter(a, [0.0, np.inf])]
+    a = np.concatenate(points)
+    values = scale_mixtures._ndtr(a)
+    assert np.array_equal(values, special.ndtr(a))
+    past = np.square(a * math.sqrt(0.5)) > scale_mixtures._MAXLOG
+    assert 0 < past.sum() < len(a) and set(values[past].tolist()) == {0.0, 1.0}
 
 
 # ----------------------------------------------------- two-moment conditioning
