@@ -41,7 +41,6 @@ from .exact import (
     hypergeometric_tv_check,
     sanov_bounds_check,
     type_log_prob,
-    type_satisfies,
 )
 from .montecarlo import (
     LowEffectiveSampleError,
@@ -54,7 +53,6 @@ from .montecarlo import (
 )
 from .scale_mixtures import (
     MixingLaw,
-    RealSample,
     condition_two_moments,
     empirical_limits,
     radial_cf_check,

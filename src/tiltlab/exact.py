@@ -43,7 +43,6 @@ __all__ = [
     "BoundCheck",
     "enumerate_types",
     "type_log_prob",
-    "type_satisfies",
     "sanov_bounds_check",
     "conditional_weights",
     "hypergeometric_block_law",
@@ -98,11 +97,9 @@ class ConditionalWeights:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Per-row outcome of an inequality check, with the slack of each side in nats."""
+    """Per-row outcome of an inequality check."""
 
     passed: np.ndarray
-    upper_slack: np.ndarray
-    lower_slack: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,27 +225,15 @@ def sanov_bounds_check(counts, p: Distribution) -> BoundCheck:
 
         (n+1)^(-k) exp(-n D(Q||P))  <=  Pr(type = Q)  <=  exp(-n D(Q||P))
 
-    where Q is the row's frequency view.  Slacks are the log-scale margins
-    by which each inequality holds; a side passes when its slack is at
-    least -``SANOV_SLACK_TOL``.
+    where Q is the row's frequency view.  A side passes when its log-scale
+    slack, the margin by which it holds, is at least -``SANOV_SLACK_TOL``.
     """
     counts, n = _type_rows(counts, p.alphabet, p)
     log_prob = type_log_prob(counts, p)
     divergence = n * _divergences(counts / n[:, None], p)
     upper_slack = -divergence - log_prob
     lower_slack = log_prob - (-p.alphabet.size * np.log(n + 1) - divergence)
-    return BoundCheck(
-        passed=(upper_slack >= -SANOV_SLACK_TOL) & (lower_slack >= -SANOV_SLACK_TOL),
-        upper_slack=upper_slack,
-        lower_slack=lower_slack,
-    )
-
-
-def type_satisfies(counts, c: MomentConstraint) -> np.ndarray:
-    """Which rows of counts satisfy the constraint, by
-    :meth:`MomentConstraint.holds_for_counts`, the reduction the samplers use."""
-    counts, _ = _type_rows(counts, c.function.alphabet)
-    return c.holds_for_counts(counts)
+    return BoundCheck(passed=(upper_slack >= -SANOV_SLACK_TOL) & (lower_slack >= -SANOV_SLACK_TOL))
 
 
 def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> ConditionalWeights:
@@ -261,7 +246,7 @@ def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> Conditi
     """
     k = p.alphabet.size
     _type_rows(np.empty((0, k), dtype=int), c.function.alphabet, p)  # checks p before enumerating
-    rows = np.concatenate([block[type_satisfies(block, c)] for block in enumerate_types(k, n)])
+    rows = np.concatenate([block[c.holds_for_counts(block)] for block in enumerate_types(k, n)])
     if not len(rows):
         hint = ""
         smallest = _smallest_feasible_n(k, c)
@@ -280,7 +265,7 @@ def _smallest_feasible_n(k: int, c: MomentConstraint) -> int | None:
     for n in range(1, FEASIBLE_PROBE_LIMIT + 1):
         if type_space_size(k, n) > 10**6:
             return None
-        if any(type_satisfies(block, c).any() for block in enumerate_types(k, n)):
+        if any(c.holds_for_counts(block).any() for block in enumerate_types(k, n)):
             return n
     return None
 
@@ -440,7 +425,6 @@ class EntropyConcentrationReport:
     interval: tuple[float, float]
     coverage: float
     q95: float
-    mean_entropy: float
 
 
 def entropy_concentration(
@@ -475,5 +459,4 @@ def entropy_concentration(
         interval=(float(lo), float(hi)),
         coverage=coverage,
         q95=float(np.quantile(2.0 * n_per_sample * delta_h, 0.95)),
-        mean_entropy=float(entropies.mean()),
     )

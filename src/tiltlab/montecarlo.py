@@ -106,8 +106,6 @@ class McEstimate:
     std_errors: np.ndarray = field(repr=False)
     accepted: int
     ess: float
-    method: str
-    seed: int
 
     def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
         """(estimate, standard error) for one word; (0, 0) if never seen."""
@@ -142,7 +140,6 @@ class RateFit:
     slope: float
     intercept: float
     residual_rms: float
-    n_grid: tuple[int, ...]
 
 
 def _draw_window_batch(
@@ -274,8 +271,6 @@ def sample_conditional_blocks(
         std_errors=np.sqrt(np.maximum(variances, 0.0)),
         accepted=int(word_idx.size),
         ess=ess,
-        method=method,
-        seed=seed,
     )
 
 
@@ -351,5 +346,4 @@ def rate_fit(records: list[tuple[int, float]]) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         residual_rms=float(np.sqrt((resid**2).mean())),
-        n_grid=tuple(int(n) for n, _ in records),
     )

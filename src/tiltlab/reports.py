@@ -125,6 +125,12 @@ class ExperimentConfig:
         for name in ("samples", "m", "seed", "block_size", "gsm_n", "gsm_block"):
             if not _is_a(getattr(self, name), int):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("exponent", "gsm_epsilon", "amplitude"):
+            value = getattr(self, name)
+            if not (_is_a(value, (int, float)) or (name == "amplitude" and value is None)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a string or null, got {self.out!r}")
 
         for name in ("interval", "gsm_targets"):
             if len(getattr(self, name)) != 2:

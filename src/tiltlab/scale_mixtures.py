@@ -19,7 +19,7 @@ Two checks connect this to the discrete tilting machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .rng import stream
 
 __all__ = [
     "MixingLaw",
-    "RealSample",
     "CfCheckReport",
     "TwoMomentReport",
     "sample_gsm",
@@ -48,55 +47,33 @@ _KS_STRIDE = 64  # the KS distance evaluates the normal CDF at every 64th sorted
 
 @dataclass(frozen=True)
 class MixingLaw:
-    """A law for the latent (mean, variance) pair of a Gaussian mixture.
+    """A finite law for the latent (mean, variance) pair of a Gaussian
+    mixture: weighted atoms (mean, variance, weight).  All variances must be
+    strictly positive and the weights must sum to 1."""
 
-    Kinds: "point" (a single pair), "finite-discrete" (finitely many
-    weighted pairs), "inverse-gamma" (variance inverse-gamma distributed,
-    mean fixed).  All variances must be strictly positive.
-    """
-
-    kind: str
-    atoms: tuple[tuple[float, float, float], ...] = ()  # (mean, variance, weight)
-    shape: float = 0.0
-    scale: float = 0.0
-    mean: float = 0.0
+    atoms: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.kind in ("point", "finite-discrete"):
-            if not self.atoms:
-                raise ValueError("discrete mixing laws need at least one atom")
-            if any(v <= 0 for _, v, _ in self.atoms):
-                raise ValueError("variance atoms must be strictly positive")
-            if any(w < 0 for *_, w in self.atoms):
-                raise ValueError("atom weights must be nonnegative")
-            total = sum(w for *_, w in self.atoms)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"atom weights sum to {total}, expected 1")
-            if self.kind == "point" and len(self.atoms) != 1:
-                raise ValueError("a point mixing law has exactly one atom")
-        elif self.kind == "inverse-gamma":
-            if self.shape <= 0 or self.scale <= 0:
-                raise ValueError("inverse-gamma mixing needs shape > 0 and scale > 0")
-        else:
-            raise ValueError(f"unknown mixing kind {self.kind!r}")
+        if not self.atoms:
+            raise ValueError("mixing laws need at least one atom")
+        if any(v <= 0 for _, v, _ in self.atoms):
+            raise ValueError("variance atoms must be strictly positive")
+        if any(w < 0 for *_, w in self.atoms):
+            raise ValueError("atom weights must be nonnegative")
+        total = sum(w for *_, w in self.atoms)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"atom weights sum to {total}, expected 1")
 
     @classmethod
     def point(cls, mean: float, variance: float) -> "MixingLaw":
-        return cls(kind="point", atoms=((mean, variance, 1.0),))
+        return cls(((mean, variance, 1.0),))
 
     @classmethod
     def discrete(cls, atoms: list[tuple[float, float, float]]) -> "MixingLaw":
-        return cls(kind="finite-discrete", atoms=tuple(atoms))
-
-    @classmethod
-    def inverse_gamma(cls, shape: float, scale: float, mean: float = 0.0) -> "MixingLaw":
-        return cls(kind="inverse-gamma", shape=shape, scale=scale, mean=mean)
+        return cls(tuple(atoms))
 
     def draw_latents(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``size`` independent (mean, variance) pairs."""
-        if self.kind == "inverse-gamma":
-            variances = self.scale / rng.gamma(self.shape, 1.0, size=size)
-            return np.full(size, self.mean), variances
         means = np.array([a[0] for a in self.atoms])
         variances = np.array([a[1] for a in self.atoms])
         weights = np.array([a[2] for a in self.atoms])
@@ -105,83 +82,29 @@ class MixingLaw:
 
     def cf_real(self, t: float) -> float:
         """Real part of the characteristic function of one coordinate."""
-        if self.kind == "inverse-gamma":
-            if t == 0.0:
-                return math.cos(t * self.mean)
-            return math.cos(t * self.mean) * _inverse_gamma_laplace(self.shape, 0.5 * self.scale * t * t)
         return sum(
             w * math.cos(t * m) * math.exp(-0.5 * v * t * t) for m, v, w in self.atoms
         )
 
 
-def _inverse_gamma_laplace(shape: float, bs: float) -> float:
-    """E exp(-sV) for V ~ InvGamma(shape, b), as a function of bs = b * s > 0.
-
-    The closed form is f_a = 2 (bs)^{a/2} K_a(2 sqrt(bs)) / Gamma(a).  It is
-    evaluated directly at orders up to 2 and carried up to ``shape`` by the
-    recurrence f_{v+1} = f_v + bs f_{v-1} / (v (v - 1)), which follows from
-    K_{v+1} = K_{v-1} + (2v/z) K_v.  Its terms are all positive, and no Bessel
-    value of a large order is formed, so nothing overflows.
-    """
-    from scipy import special  # imported here: only this function needs scipy
-    z = 2.0 * math.sqrt(bs)
-
-    def direct(order: float) -> float:
-        scaled = special.kve(order, z)  # K_order(z) e^z
-        if math.isinf(scaled):
-            # Only for order near 2 and bs below about 1e-300, where
-            # f = 1 - bs / (order - 1) rounds to 1.
-            return 1.0
-        return math.exp(
-            math.log(2.0) + 0.5 * order * math.log(bs) + math.log(scaled) - z - special.gammaln(order)
-        )
-
-    if shape <= 2.0:
-        return direct(shape)
-    order = shape - math.ceil(shape) + 2.0  # in (1, 2], a whole number of steps below shape
-    lower, value = direct(order - 1.0), direct(order)
-    for _ in range(math.ceil(shape) - 2):
-        lower, value = value, value + bs * lower / (order * (order - 1.0))
-        order += 1.0
-    return value
-
-
-@dataclass(frozen=True)
-class RealSample:
-    """One simulated sequence, with the latent pair that generated it."""
-
-    values: np.ndarray = field(repr=False)
-    seed: int = 0
-    latent: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-def sample_gsm(g: MixingLaw, n: int, seed: int = 0) -> RealSample:
-    """Simulate one exchangeable sequence: draw (M, V) once, then n
-    conditionally i.i.d. N(M, V) coordinates."""
+def sample_gsm(g: MixingLaw, n: int, seed: int = 0) -> np.ndarray:
+    """Simulate one exchangeable sequence, as a read-only array: draw (M, V)
+    once, then n conditionally i.i.d. N(M, V) coordinates."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = stream(seed, _STREAM_SAMPLE)
     means, variances = g.draw_latents(rng, 1)
-    mean, variance = float(means[0]), float(variances[0])
-    values = mean + math.sqrt(variance) * rng.standard_normal(n)
-    return RealSample(values=values, seed=seed, latent=(mean, variance))
+    values = float(means[0]) + math.sqrt(float(variances[0])) * rng.standard_normal(n)
+    values.flags.writeable = False
+    return values
 
 
-def empirical_limits(s: RealSample) -> tuple[float, float]:
+def empirical_limits(values: np.ndarray) -> tuple[float, float]:
     """Empirical mean and (biased, 1/n) empirical variance of a sequence."""
-    if s.n < 2:
+    if values.size < 2:
         raise ValueError("variance needs at least 2 observations")
-    mean = float(s.values.mean())
-    variance = float(((s.values - mean) ** 2).mean())
+    mean = float(values.mean())
+    variance = float(((values - mean) ** 2).mean())
     return mean, variance
 
 
@@ -193,9 +116,6 @@ class CfCheckReport:
     empirical: tuple[float, ...]
     exact: tuple[float, ...]
     max_deviation: float
-    max_imaginary: float
-    samples: int
-    seed: int
 
 
 def radial_cf_check(
@@ -209,28 +129,19 @@ def radial_cf_check(
 
     Each draw carries a fresh latent pair, so the empirical CF targets the
     mixture (not a single Gaussian).  Reports the worst absolute deviation
-    of the real part over the grid and the largest imaginary part (which
-    should vanish for centered mixings).
+    of the real part over the grid.
     """
     rng = stream(seed, _STREAM_CF)
     means, variances = g.draw_latents(rng, samples)
     x = means + np.sqrt(variances) * rng.standard_normal(samples)
-    empirical = []
-    exact = []
-    max_imag = 0.0
-    for t in t_grid:
-        empirical.append(float(np.cos(t * x).mean()))
-        max_imag = max(max_imag, abs(float(np.sin(t * x).mean())))
-        exact.append(g.cf_real(t))
+    empirical = [float(np.cos(t * x).mean()) for t in t_grid]
+    exact = [g.cf_real(t) for t in t_grid]
     deviations = [abs(a - b) for a, b in zip(empirical, exact)]
     return CfCheckReport(
         t_grid=tuple(float(t) for t in t_grid),
         empirical=tuple(empirical),
         exact=tuple(exact),
         max_deviation=max(deviations),
-        max_imaginary=max_imag,
-        samples=samples,
-        seed=seed,
     )
 
 
@@ -243,13 +154,10 @@ class TwoMomentReport:
     with the target moments.
     """
 
-    targets: tuple[float, float]
     epsilon: float
     n: int
-    block: int
     samples: int
     accepted: int
-    acceptance_rate: float
     pooled: int
     ks_statistic: float
     seed: int
@@ -400,13 +308,10 @@ def condition_two_moments(
     pooled = blocks.ravel()
     ks = _ks_normal(pooled, target_mean, math.sqrt(target_var))
     return TwoMomentReport(
-        targets=(float(target_mean), float(target_var)),
         epsilon=float(epsilon),
         n=n,
-        block=block,
         samples=samples,
         accepted=accepted,
-        acceptance_rate=accepted / samples,
         pooled=int(pooled.size),
         ks_statistic=float(ks),
         seed=seed,

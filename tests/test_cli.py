@@ -125,6 +125,14 @@ def test_config_requires_nonempty_grid():
         ("dice-concentration", "interval", ["a", 2], "interval entries must be numbers, got ('a', 2)"),
         ("gsm", "gsm_targets", [None, 1.0], "gsm_targets entries must be numbers, got (None, 1.0)"),
         ("windows", "method", "foo", "unknown method 'foo'; choose from ('rejection', 'tilt-importance')"),
+        ("dice", "out", 5, "out must be a string or null, got 5"),
+        ("gsm", "out", ["report.json"], "out must be a string or null, got ['report.json']"),
+        ("windows", "exponent", "x", "exponent must be a number, got 'x'"),
+        ("windows", "exponent", True, "exponent must be a number, got True"),
+        ("gsm", "gsm_epsilon", True, "gsm_epsilon must be a number, got True"),
+        ("gsm", "gsm_epsilon", None, "gsm_epsilon must be a number, got None"),
+        ("windows", "amplitude", True, "amplitude must be a number, got True"),
+        ("windows", "amplitude", "0.5", "amplitude must be a number, got '0.5'"),
     ],
 )
 def test_config_rejects_out_of_range_fields(experiment, field, value, message):
@@ -597,9 +605,9 @@ def test_cli_never_imports_scipy_stats_integrate_optimize_or_jsonschema(tmp_path
     # its hull test (theorem1 on the exact-die-2d workload's config).
     #
     # Importing the CLI loads no scipy module, and the runs other than
-    # dice-concentration and cf-check, the two that may need scipy.special,
-    # first-import no numpy, scipy or tiltlab module: the set-up loads what
-    # they use.  Those two run last, so that what they load hides nothing.
+    # dice-concentration, the one that needs scipy.special, first-import no
+    # numpy, scipy or tiltlab module: the set-up loads what they use.  It
+    # runs last, so that what it loads hides nothing.
     configs = {
         "gsm": {"experiment": "gsm"},
         "dice": {"experiment": "dice"},
@@ -612,10 +620,10 @@ def test_cli_never_imports_scipy_stats_integrate_optimize_or_jsonschema(tmp_path
         },
         "bernoulli": {"experiment": "bernoulli"},
         "windows": {"experiment": "windows"},
-        "dice-concentration": {"experiment": "dice-concentration", "samples": 20000},
         "cf-check": {"experiment": "cf-check"},
+        "dice-concentration": {"experiment": "dice-concentration", "samples": 20000},
     }
-    exempt = ("dice-concentration", "cf-check")
+    exempt = ("dice-concentration",)
     script = """
 import json, sys
 import tiltlab.cli

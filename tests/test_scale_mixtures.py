@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from tiltlab import montecarlo, scale_mixtures
 from tiltlab.experiments import _default_gsm_mixing
@@ -11,7 +11,6 @@ from tiltlab.reports import default_config
 from tiltlab.rng import stream
 from tiltlab.scale_mixtures import (
     MixingLaw,
-    RealSample,
     _accepted_blocks,
     _draw_tile,
     _ks_normal,
@@ -32,8 +31,6 @@ def test_mixing_law_validation():
         MixingLaw.point(0.0, -1.0)
     with pytest.raises(ValueError, match="sum"):
         MixingLaw.discrete([(0.0, 1.0, 0.6), (0.0, 2.0, 0.6)])
-    with pytest.raises(ValueError, match="shape"):
-        MixingLaw.inverse_gamma(-1.0, 2.0)
 
 
 # ----------------------------------------------------------------- sampling
@@ -42,8 +39,9 @@ def test_mixing_law_validation():
 def test_sample_gsm_deterministic():
     a = sample_gsm(TWO_ATOM, 100, seed=12)
     b = sample_gsm(TWO_ATOM, 100, seed=12)
-    assert np.array_equal(a.values, b.values)
-    assert a.latent == b.latent
+    assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0.0
 
 
 def test_point_mixing_empirical_moments():
@@ -73,9 +71,10 @@ def test_per_sequence_limits_track_latent_draw():
     for seed in range(20):
         sample = sample_gsm(TWO_ATOM, 10**5, seed=seed)
         mean, variance = empirical_limits(sample)
-        m_lat, v_lat = sample.latent
-        mean_ok = abs(mean - m_lat) <= 3 * math.sqrt(v_lat / sample.n)
-        var_ok = abs(variance - v_lat) <= 3 * math.sqrt(2.0 / sample.n) * v_lat
+        # the latent pair sample_gsm drew: the first draw of its keyed stream
+        (m_lat,), (v_lat,) = TWO_ATOM.draw_latents(stream(seed, scale_mixtures._STREAM_SAMPLE), 1)
+        mean_ok = abs(mean - m_lat) <= 3 * math.sqrt(v_lat / sample.size)
+        var_ok = abs(variance - v_lat) <= 3 * math.sqrt(2.0 / sample.size) * v_lat
         hits += mean_ok and var_ok
     assert hits >= 19
 
@@ -84,17 +83,16 @@ def test_point_mixing_passes_normality_ks():
     passed = 0
     for seed in range(20):
         sample = sample_gsm(MixingLaw.point(0.0, 1.0), 2000, seed=seed)
-        if stats.kstest(sample.values, "norm").pvalue > 0.01:
+        if stats.kstest(sample, "norm").pvalue > 0.01:
             passed += 1
     assert passed >= 18
 
 
 def test_empirical_limits_degenerate():
-    constant = RealSample(values=np.full(10, 2.5))
-    mean, variance = empirical_limits(constant)
+    mean, variance = empirical_limits(np.full(10, 2.5))
     assert mean == 2.5 and variance == 0.0
     with pytest.raises(ValueError):
-        empirical_limits(RealSample(values=np.array([1.0])))
+        empirical_limits(np.array([1.0]))
 
 
 # ------------------------------------------------------ characteristic function
@@ -110,41 +108,8 @@ def test_cf_closed_forms():
 def test_cf_check_point_and_two_atom():
     for mixing in (MixingLaw.point(0.0, 1.0), MixingLaw.discrete([(0.0, 1.0, 0.5), (0.0, 2.0, 0.5)])):
         report = radial_cf_check(mixing, (0.0, 0.5, 1.0, 2.0), samples=4 * 10**4, seed=2)
-        assert report.max_deviation <= 4.0 / math.sqrt(report.samples) + 1e-3
+        assert report.max_deviation <= 4.0 / math.sqrt(4 * 10**4) + 1e-3
         assert report.empirical[0] == pytest.approx(1.0, abs=1e-12)
-        assert report.max_imaginary < 0.02
-
-
-def test_cf_check_inverse_gamma_quadrature():
-    mixing = MixingLaw.inverse_gamma(3.0, 2.0)
-    report = radial_cf_check(mixing, (0.0, 0.5, 1.0, 2.0), samples=10**5, seed=3)
-    assert report.max_deviation <= 4.0 / math.sqrt(report.samples) + 1e-3
-
-
-@pytest.mark.parametrize("shape", [0.5, 1.5, 3.0, 7.5])
-@pytest.mark.parametrize("scale", [0.5, 2.0, 5.0])
-def test_inverse_gamma_cf_matches_quadrature(shape, scale):
-    mixing = MixingLaw.inverse_gamma(shape, scale, mean=0.3)
-    density = stats.invgamma(shape, scale=scale).pdf
-    for t in (0.1, 0.5, 1.0, 2.0):
-        value, _ = integrate.quad(
-            lambda v: math.exp(-0.5 * v * t * t) * density(v), 0.0, np.inf,
-            epsabs=1e-13, epsrel=1e-12, limit=200,
-        )
-        assert abs(mixing.cf_real(t) - math.cos(0.3 * t) * value) <= 1e-10
-    assert mixing.cf_real(0.0) == 1.0
-    assert MixingLaw.inverse_gamma(shape, scale).cf_real(0.0) == 1.0
-
-
-def test_inverse_gamma_cf_large_shapes_against_bessel_reference():
-    # Shapes far above 2 take the order recurrence; K_a itself overflows a
-    # double at these shapes and small t.
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for shape, scale, t in [(50.0, 2.0, 1e-9), (50.0, 2.0, 1.0), (200.0, 2.0, 1.0), (1000.5, 1000.0, 0.1), (3.0000001, 1.0, 0.7)]:
-        bs = mpmath.mpf(scale) * mpmath.mpf(t) ** 2 / 2
-        exact = 2 * bs ** (mpmath.mpf(shape) / 2) * mpmath.besselk(shape, 2 * mpmath.sqrt(bs)) / mpmath.gamma(shape)
-        assert MixingLaw.inverse_gamma(shape, scale).cf_real(t) == pytest.approx(float(exact), abs=1e-13)
 
 
 # ----------------------------------------------------- two-moment conditioning
@@ -194,8 +159,8 @@ def _tiled_sample(g, targets, epsilon, n, block, samples, seed):
     [
         # the criterion-8 setting
         (TWO_ATOM, (0.0, 1.0), 0.1, 200, 5),
-        # inverse-gamma variances, nonzero latent mean
-        (MixingLaw.inverse_gamma(3.0, 2.0, mean=0.1), (0.1, 1.0), 0.2, 50, 3),
+        # three variance atoms with a common nonzero latent mean
+        (MixingLaw.discrete([(0.1, 0.5, 0.3), (0.1, 1.0, 0.4), (0.1, 2.0, 0.3)]), (0.1, 1.0), 0.2, 50, 3),
         # latent means that differ between atoms
         (MixingLaw.discrete([(0.1, 1.0, 0.5), (-0.1, 4.0, 0.5)]), (0.0, 1.5), 0.3, 40, 4),
         # a one-coordinate tail (no chi-square draw), every row accepted
@@ -330,7 +295,7 @@ def test_condition_two_moments_wide_window_keeps_mixture():
     # mixture, whose exact KS distance from N(0,1) is 0.0807 at the
     # maximizing point, so a large KS must show up.
     report = condition_two_moments(TWO_ATOM, (0.0, 1.0), 50.0, 50, 10, 4000, seed=1)
-    assert report.acceptance_rate == 1.0
+    assert report.accepted == report.samples
     assert report.ks_statistic > 0.05
 
 
