@@ -64,7 +64,7 @@ def public_members(path: Path) -> list[str]:
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     name = item.target.id
-                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                elif isinstance(item, ast.FunctionDef):
                     name = item.name
                 else:
                     continue
