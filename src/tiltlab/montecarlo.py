@@ -18,8 +18,11 @@ is what makes far-from-baseline targets tractable.  The weights still thin
 out as n grows, but slowly: the effective sample size falls roughly like
 n^(-1/2), not exponentially in n.  Both samplers draw only
 the first m coordinates explicitly; the remaining n-m coordinates enter the
-window statistic through their symbol counts, one multinomial draw per
-sequence, which has the same joint law as materializing the tail.
+window statistic through their symbol counts, which have the same joint law
+as materializing the tail.  On two symbols the tail's head count takes one
+uniform per sequence, an O(1) Walker/Vose alias-table draw from
+Binomial(n-m, p1); on more symbols the counts are one multinomial draw per
+sequence.
 
 A sequence is reduced to its type, the row of its symbol counts (the first
 m symbols' counts plus the tail's), and kept when
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +61,6 @@ METHODS = ("rejection", "tilt-importance")
 _METHOD_STREAM = {"rejection": 1, "tilt-importance": 2}
 MIN_SAMPLES = 10**3
 MIN_ESS = 50.0
-SE_BATCHES = 10  # batch means behind each window-sweep standard error
 _CHUNK_CELLS = 4 * 10**6  # simulated coordinates per chunk; rows scale as 1/n
 
 
@@ -120,7 +123,7 @@ class WindowSweepPoint:
     ``tv_estimate`` is the plug-in distance of the weighted empirical block
     law to the m-fold product of the target tilt; plug-in TV of an
     empirical law is upward-biased, so it is reported together with a
-    batch-means standard error rather than corrected.
+    delta-method standard error rather than corrected.
     """
 
     n: int
@@ -142,19 +145,93 @@ class RateFit:
     residual_rms: float
 
 
+def _binomial_alias(trials: int, p1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table of Binomial(trials, p1) over its K = trials + 1
+    cells: a draw picks cell j uniformly, keeps j with probability
+    ``prob[j]`` and otherwise gives ``alias[j]``, so value j has mass
+    (prob[j] + sum of 1 - prob[i] over the cells i aliased to j) / K.
+
+    The masses follow the ratio pmf(j + 1) / pmf(j) = (trials - j) / (j + 1)
+    * p1 / (1 - p1) out from the mode, where the unnormalized mass is 1, so
+    none overflows, and are then normalized.  They share no code with the
+    exact oracle's tables, so the sampler stays an independent check of it.
+    """
+    size = trials + 1
+    odds = p1 / (1.0 - p1)
+    mode = min(trials, int(size * p1))
+    mass = [0.0] * size
+    mass[mode] = 1.0
+    for j in range(mode, trials):
+        mass[j + 1] = mass[j] * (trials - j) / (j + 1) * odds
+    for j in range(mode, 0, -1):
+        mass[j - 1] = mass[j] * j / (trials - j + 1) / odds
+    total = math.fsum(mass)
+    scaled = [size * x / total for x in mass]
+    prob = np.ones(size)
+    alias = np.arange(size)
+    small = [j for j in range(size) if scaled[j] < 1.0]
+    large = [j for j in range(size) if scaled[j] >= 1.0]
+    while small and large:
+        j, donor = small.pop(), large.pop()
+        prob[j], alias[j] = scaled[j], donor
+        scaled[donor] = (scaled[donor] + scaled[j]) - 1.0
+        (small if scaled[donor] < 1.0 else large).append(donor)
+    # A cell left in either list holds mass 1 up to rounding and keeps prob 1.
+    return prob, alias
+
+
+_TailCounts = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def _tail_sampler(law: Distribution, trials: int, max_rows: int) -> _TailCounts:
+    """The draw of the tail's symbol counts: ``draw(rng, rows)`` returns a
+    (rows, k) array, rows <= max_rows, of the counts of ``trials`` i.i.d.
+    symbols from ``law``.
+
+    Two symbols take one uniform per row, the head count's alias-table draw
+    (:func:`_binomial_alias`), into buffers reused from call to call, so
+    each draw overwrites the previous one.  More symbols take
+    ``rng.multinomial``, whose table over tail count rows would have
+    C(trials + k - 1, k - 1) cells.
+    """
+    if law.alphabet.size != 2:
+        return lambda rng, rows: rng.multinomial(trials, law.masses, size=rows)  # zero trials use no draws
+    prob, alias = _binomial_alias(trials, float(law.masses[1]))
+    upper = np.arange(trials + 1) + prob  # u*K below cell j's upper end keeps j
+    scaled = np.empty(max_rows)
+    cell = np.empty(max_rows, dtype=np.intp)
+    limit = np.empty(max_rows)
+    stay = np.empty(max_rows, dtype=bool)
+    counts = np.empty((2, max_rows), dtype=np.intp)  # symbol-major, so each column is contiguous
+
+    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+        u = rng.random(rows, out=scaled[:rows])
+        np.multiply(u, trials + 1, out=u)
+        at = cell[:rows]
+        np.copyto(at, u, casting="unsafe")  # floor, since u >= 0
+        # Cells are in range; mode="clip" only spares np.take a copy of out.
+        keeps_cell = np.less(u, np.take(upper, at, out=limit[:rows], mode="clip"), out=stay[:rows])
+        heads = np.take(alias, at, out=counts[1, :rows], mode="clip")
+        np.copyto(heads, at, where=keeps_cell)
+        np.subtract(trials, heads, out=counts[0, :rows])
+        return counts[:, :rows].T
+
+    return draw
+
+
 def _draw_window_batch(
     rng: np.random.Generator,
     law: Distribution,
-    n: int,
     m: int,
     rows: int,
+    tail_counts: _TailCounts,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-m symbol indices and full-sequence count rows for one chunk: the
-    tail's multinomial counts plus the counts of the first m symbols."""
+    tail's counts from ``tail_counts`` plus the counts of the first m symbols."""
     cum = np.cumsum(law.masses)
     cum[-1] = 1.0
     first = np.searchsorted(cum, rng.random((rows, m)), side="right")
-    counts = rng.multinomial(n - m, law.masses, size=rows)  # at n = m, zero trials use no draws
+    counts = tail_counts(rng, rows)
     for symbol, tally in enumerate(counts.T):  # each tally is a view into counts
         for column in first.T:
             tally += column == symbol
@@ -195,20 +272,22 @@ def _conditioned_draws(
         logz = solution.log_partition
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
-    chunk_rows = max(1, _CHUNK_CELLS // max(n, 1))
+    chunk_rows = min(samples, max(1, _CHUNK_CELLS // max(n, 1)))
+    tail_counts = _tail_sampler(proposal, n - m, chunk_rows)
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
     remaining = samples
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         remaining -= rows
-        first, counts = _draw_window_batch(rng, proposal, n, m, rows)
+        first, counts = _draw_window_batch(rng, proposal, m, rows, tail_counts)
         keep = c.holds_for_counts(counts)
         if keep.any():
             kept_words.append(word_index(first[keep], p.alphabet.size, m))
             if method != "rejection":  # only the importance weights read the statistic
                 kept_sums.append(counts[keep] @ c.function.table[:, 0])
 
+    del tail_counts  # release the chunk buffers before the accepted draws are joined
     if not kept_words:
         raise LowEffectiveSampleError(
             f"0 of {samples} proposals landed in ({lo}, {hi}); "
@@ -289,10 +368,13 @@ def window_sweep(
     ``n_grid`` and estimate the distance to the product law of the tilt
     whose mean is alpha.
 
-    The standard error of each TV estimate comes from batch means: the
-    accepted draws are split into ``SE_BATCHES`` contiguous batches
-    (contiguous in proposal order, hence independent) and the TV is
-    recomputed per batch.
+    The standard error of each TV estimate is the delta method's: with
+    g_w = sign(phat_w - q_w) / 2 the TV's gradient in the estimated word
+    masses phat, it is sqrt(sum_i w_i^2 (g[word_i] - sum_w g_w phat_w)^2)
+    over the accepted draws i and their self-normalized weights w_i.  It
+    holds for both methods.  It leaves out the plug-in bias, which matters
+    only on words whose mass lies within a few standard errors of the
+    product law's.
     """
     product = product_block_law(solve_moment_equality(p, h, [alpha]).tilted, m)
 
@@ -303,14 +385,10 @@ def window_sweep(
         word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i)
         block = _law_from(word_idx, weights, p.alphabet, m)
         tv = tv_distance(block, product)
-
-        # ESS <= accepted, so each batch holds at least MIN_ESS / SE_BATCHES draws.
-        edges = np.linspace(0, word_idx.size, SE_BATCHES + 1, dtype=int)
-        tvs = [
-            tv_distance(_law_from(word_idx[a:b], weights[a:b], p.alphabet, m), product)
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-        se = float(np.std(tvs, ddof=1) / math.sqrt(len(tvs)))
+        g = 0.5 * np.sign(block.masses - product.masses)
+        weights **= 2  # in place: nothing reads the weights again, and they can fill 8 MB
+        w_sq = np.bincount(word_idx, weights=weights, minlength=g.size)
+        se = math.sqrt(w_sq @ (g - g @ block.masses) ** 2)
         points.append(
             WindowSweepPoint(
                 n=n,

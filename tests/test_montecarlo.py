@@ -131,8 +131,8 @@ def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
     die3 = Distribution.uniform(Alphabet.of_size(3))
     rows = np.array([(0, 2), (0, 2), (0, 2), (2, 0)])
 
-    def fixed_batch(rng, law, n, m, count):
-        return np.resize(rows, (count, 2)), np.tile([0, n, 0], (count, 1))  # mean 2
+    def fixed_batch(rng, law, m, count, tail_counts):
+        return np.resize(rows, (count, 2)), np.tile([0, 10, 0], (count, 1))  # mean 2
 
     monkeypatch.setattr(montecarlo, "_draw_window_batch", fixed_batch)
     c = window(2.0, 0.5, MomentFunction.from_labels(die3.alphabet))
@@ -165,9 +165,9 @@ def test_unwindowed_constraint_is_refused(kind, target):
 
 
 class WordStream:
-    """Stands in for the generator of ``_draw_window_batch`` on a uniform law:
-    its uniforms pick the first m symbols of each word, and its multinomial
-    draw returns the symbol counts of the rest."""
+    """Stands in for the generator of ``_draw_window_batch`` on a uniform law
+    and for its tail draw: its uniforms pick the first m symbols of each
+    word, and ``tail_counts`` returns the symbol counts of the rest."""
 
     def __init__(self, words: np.ndarray, m: int, k: int):
         self.words, self.m, self.k = words, m, k
@@ -175,7 +175,8 @@ class WordStream:
     def random(self, shape):
         return (self.words[:, : self.m] + 0.5) / self.k
 
-    def multinomial(self, trials, masses, size):
+    def tail_counts(self, rng, rows):
+        assert rng is self and rows == len(self.words)
         return (self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1)
 
 
@@ -228,10 +229,53 @@ def test_sampler_and_oracle_condition_on_the_same_event(event):
     words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)
     order = rng.permutation(len(counts))
     stream = WordStream(words[order], m, k)
-    first, rows = montecarlo._draw_window_batch(stream, Distribution.uniform(h.alphabet), n, m, len(counts))
+    first, rows = montecarlo._draw_window_batch(
+        stream, Distribution.uniform(h.alphabet), m, len(counts), stream.tail_counts
+    )
     assert np.array_equal(first, words[order, :m])
     assert np.array_equal(rows, counts[order])
     assert np.array_equal(c.holds_for_counts(rows), c.holds_for_counts(counts)[order])
+
+
+@pytest.mark.parametrize("trials", [0, 1, 24, 99, 149, 1000])
+def test_binomial_alias_table_holds_the_binomial_law(trials):
+    # Value j's mass is its own cell's kept share plus the shares given away
+    # by the cells aliased to j, over the trials + 1 cells.
+    for p1 in (0.5, 0.75, 0.1, 1e-3):
+        prob, alias = montecarlo._binomial_alias(trials, p1)
+        assert np.all((prob >= 0) & (prob <= 1))
+        mass = prob.copy()
+        np.add.at(mass, alias, 1.0 - prob)
+        mass /= trials + 1
+        exact = [math.comb(trials, j) * p1**j * (1 - p1) ** (trials - j) for j in range(trials + 1)]
+        np.testing.assert_allclose(mass, exact, rtol=0, atol=1e-13)
+
+
+def test_two_symbol_tail_draw_matches_the_multinomial():
+    # 2e5 rows of each draw over 25 head counts: the two histograms lie
+    # about 0.004 apart in TV when both draws have the same law.
+    law, rows = Distribution.bernoulli(0.3), 200_000
+    counts = montecarlo._tail_sampler(law, 24, rows)(np.random.default_rng(0), rows)
+    assert counts.shape == (rows, 2)
+    assert np.all(counts.sum(axis=1) == 24)
+    multinomial = np.random.default_rng(1).multinomial(24, law.masses, size=rows)
+    gap = np.bincount(counts[:, 1], minlength=25) - np.bincount(multinomial[:, 1], minlength=25)
+    assert 0.5 * np.abs(gap).sum() / rows < 0.01
+
+
+def test_two_symbol_tail_draw_reads_one_uniform_per_row():
+    # Each head count is its uniform's cell or that cell's alias, and a
+    # shorter second chunk in the reused buffers reads the stream as fresh
+    # arrays would.
+    prob, alias = montecarlo._binomial_alias(99, 0.75)
+    draw = montecarlo._tail_sampler(Distribution.bernoulli(0.75), 99, 1000)
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    for rows in (1000, 300):
+        counts = draw(rng, rows)
+        x = twin.random(rows) * 100
+        cell = x.astype(int)
+        heads = np.where(x < cell + prob[cell], cell, alias[cell])
+        assert np.array_equal(counts, np.stack([99 - heads, heads], axis=1))
 
 
 # -------------------------------------------------------------------- sweeps
@@ -271,6 +315,26 @@ def test_window_sweep_reaches_large_n_within_4_se_of_the_exact_oracle():
         exact = conditional_block_law(COIN, window(0.75, pt.epsilon), pt.n, 1)
         assert abs(pt.tv_estimate - tv_distance(exact, product)) <= 4 * pt.std_error
         assert pt.ess >= 50
+
+
+def test_window_sweep_standard_error_is_calibrated():
+    # z = (tv_estimate - exact tv) / std_error over 400 fixed seeds and two
+    # windows per method.  For a calibrated SE the SD of these 800 z-scores
+    # is 1 with a sampling error of 1/sqrt(2 * 799) = 0.025, and the band is
+    # 4 of those wide on each side.  The delta-method SE reads 1.00
+    # (rejection) and 0.98 (tilt-importance) here; the 10-batch SE that it
+    # replaced, t-distributed with 9 degrees of freedom, read 1.13 and 1.12.
+    schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
+    grid, m = [25, 50], 2
+    product = product_block_law(Distribution.bernoulli(0.75), m)
+    exact = {n: tv_distance(conditional_block_law(COIN, window(0.75, schedule.epsilon(n)), n, m), product) for n in grid}
+    for method in ("rejection", "tilt-importance"):
+        z = [
+            (pt.tv_estimate - exact[pt.n]) / pt.std_error
+            for seed in range(400)
+            for pt in window_sweep(COIN, COIN_H, 0.75, schedule, grid, m, 2 * 10**4, seed=seed, method=method)
+        ]
+        assert 0.9 <= np.std(z, ddof=1) <= 1.1, method
 
 
 def test_window_sweep_unreachable_target_is_a_typed_infeasibility():
