@@ -29,6 +29,8 @@ m symbols' counts plus the tail's), and kept when
 :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts it.  The
 exact oracle reduces its types the same way, so both condition on the
 identical event, and a type's verdict does not depend on its symbols' order.
+On two symbols the type is the head count j, so the verdicts and the
+statistic are tabulated once per call over the n + 1 rows (n - j, j).
 
 All randomness flows through counter-based streams keyed by (seed, stream
 id), so estimates are bit-identical across runs for a fixed configuration.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,19 +147,21 @@ class RateFit:
     residual_rms: float
 
 
-def _binomial_alias(trials: int, p1: float) -> tuple[np.ndarray, np.ndarray]:
+def _binomial_alias(trials: int, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
     """Walker/Vose alias table of Binomial(trials, p1) over its K = trials + 1
     cells: a draw picks cell j uniformly, keeps j with probability
     ``prob[j]`` and otherwise gives ``alias[j]``, so value j has mass
     (prob[j] + sum of 1 - prob[i] over the cells i aliased to j) / K.
 
     The masses follow the ratio pmf(j + 1) / pmf(j) = (trials - j) / (j + 1)
-    * p1 / (1 - p1) out from the mode, where the unnormalized mass is 1, so
-    none overflows, and are then normalized.  They share no code with the
-    exact oracle's tables, so the sampler stays an independent check of it.
+    * p1 / p0 out from the mode, where the unnormalized mass is 1, so none
+    overflows, and are then normalized.  The odds take both masses, so a
+    head mass that rounds to 1 still gives finite odds.  They share no code
+    with the exact oracle's tables, so the sampler stays an independent
+    check of it.
     """
     size = trials + 1
-    odds = p1 / (1.0 - p1)
+    odds = p1 / p0
     mode = min(trials, int(size * p1))
     mass = [0.0] * size
     mass[mode] = 1.0
@@ -180,62 +184,82 @@ def _binomial_alias(trials: int, p1: float) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-_TailCounts = Callable[[np.random.Generator, int], np.ndarray]
+_Draw = Callable[[np.random.Generator, int], np.ndarray]
 
 
-def _tail_sampler(law: Distribution, trials: int, max_rows: int) -> _TailCounts:
-    """The draw of the tail's symbol counts: ``draw(rng, rows)`` returns a
-    (rows, k) array, rows <= max_rows, of the counts of ``trials`` i.i.d.
-    symbols from ``law``.
+class _TypeSampler(NamedTuple):
+    """``tail(rng, rows)`` draws the types of the last n - m symbols of
+    ``rows`` proposals; ``holds`` and ``statistic`` give a type's verdict and
+    its sum of h."""
 
-    Two symbols take one uniform per row, the head count's alias-table draw
-    (:func:`_binomial_alias`), into buffers reused from call to call, so
-    each draw overwrites the previous one.  More symbols take
+    tail: _Draw
+    holds: Callable[[np.ndarray], np.ndarray]
+    statistic: Callable[[np.ndarray], np.ndarray]
+
+
+def _type_sampler(law: Distribution, c: MomentConstraint, n: int, m: int, max_rows: int) -> _TypeSampler:
+    """Type draws and verdicts for proposals from ``law``, at most
+    ``max_rows`` rows per draw.  On two symbols a type is the head count j,
+    and its verdict and sum of h are looked up in tables over the n + 1
+    rows (n - j, j), built once with
+    :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts`; the tail's
+    head count takes one uniform per row, the alias-table draw of
+    :func:`_binomial_alias`, into buffers reused from call to call, so each
+    draw overwrites the previous one.  More symbols take
     ``rng.multinomial``, whose table over tail count rows would have
-    C(trials + k - 1, k - 1) cells.
+    C(n - m + k - 1, k - 1) cells, and reduce each count row on its own.
     """
+    values = c.function.table[:, 0]
+    trials = n - m
     if law.alphabet.size != 2:
-        return lambda rng, rows: rng.multinomial(trials, law.masses, size=rows)  # zero trials use no draws
-    prob, alias = _binomial_alias(trials, float(law.masses[1]))
+        def multinomial(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return rng.multinomial(trials, law.masses, size=rows)  # zero trials use no draws
+        return _TypeSampler(multinomial, c.holds_for_counts, lambda counts: counts @ values)
+    heads = np.arange(n + 1)
+    types = np.stack([n - heads, heads], axis=1)
+    prob, alias = _binomial_alias(trials, *law.masses.tolist())
     upper = np.arange(trials + 1) + prob  # u*K below cell j's upper end keeps j
     scaled = np.empty(max_rows)
     cell = np.empty(max_rows, dtype=np.intp)
     limit = np.empty(max_rows)
     stay = np.empty(max_rows, dtype=bool)
-    counts = np.empty((2, max_rows), dtype=np.intp)  # symbol-major, so each column is contiguous
+    tail_heads = np.empty(max_rows, dtype=np.intp)
 
-    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def tail(rng: np.random.Generator, rows: int) -> np.ndarray:
         u = rng.random(rows, out=scaled[:rows])
         np.multiply(u, trials + 1, out=u)
         at = cell[:rows]
         np.copyto(at, u, casting="unsafe")  # floor, since u >= 0
         # Cells are in range; mode="clip" only spares np.take a copy of out.
         keeps_cell = np.less(u, np.take(upper, at, out=limit[:rows], mode="clip"), out=stay[:rows])
-        heads = np.take(alias, at, out=counts[1, :rows], mode="clip")
-        np.copyto(heads, at, where=keeps_cell)
-        np.subtract(trials, heads, out=counts[0, :rows])
-        return counts[:, :rows].T
+        drawn = np.take(alias, at, out=tail_heads[:rows], mode="clip")
+        np.copyto(drawn, at, where=keeps_cell)
+        return drawn
 
-    return draw
+    return _TypeSampler(tail, c.holds_for_counts(types).take, (types @ values).take)
 
 
 def _draw_window_batch(
-    rng: np.random.Generator,
-    law: Distribution,
-    m: int,
-    rows: int,
-    tail_counts: _TailCounts,
+    rng: np.random.Generator, law: Distribution, m: int, rows: int, tail: _Draw
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-m symbol indices and full-sequence count rows for one chunk: the
-    tail's counts from ``tail_counts`` plus the counts of the first m symbols."""
+    """First-m symbols and whole-sequence types for one chunk: the types from
+    ``tail`` plus the first m symbols.  On two symbols a symbol is
+    ``u >= p0``, equal bit for bit to ``searchsorted`` on the cumulative
+    masses [p0, 1.0], and adds to the head count."""
+    u = rng.random((rows, m))
+    types = tail(rng, rows)
+    if law.alphabet.size == 2:
+        first = u >= law.masses[0]
+        for column in first.T:
+            types += column
+        return first, types
     cum = np.cumsum(law.masses)
     cum[-1] = 1.0
-    first = np.searchsorted(cum, rng.random((rows, m)), side="right")
-    counts = tail_counts(rng, rows)
-    for symbol, tally in enumerate(counts.T):  # each tally is a view into counts
+    first = np.searchsorted(cum, u, side="right")
+    for symbol, tally in enumerate(types.T):  # each tally is a view into types
         for column in first.T:
             tally += column == symbol
-    return first, counts
+    return first, types
 
 
 def _conditioned_draws(
@@ -273,21 +297,21 @@ def _conditioned_draws(
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
     chunk_rows = min(samples, max(1, _CHUNK_CELLS // max(n, 1)))
-    tail_counts = _tail_sampler(proposal, n - m, chunk_rows)
+    sampler = _type_sampler(proposal, c, n, m, chunk_rows)
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
     remaining = samples
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         remaining -= rows
-        first, counts = _draw_window_batch(rng, proposal, m, rows, tail_counts)
-        keep = c.holds_for_counts(counts)
+        first, types = _draw_window_batch(rng, proposal, m, rows, sampler.tail)
+        keep = sampler.holds(types)
         if keep.any():
             kept_words.append(word_index(first[keep], p.alphabet.size, m))
             if method != "rejection":  # only the importance weights read the statistic
-                kept_sums.append(counts[keep] @ c.function.table[:, 0])
+                kept_sums.append(sampler.statistic(types[keep]))
 
-    del tail_counts  # release the chunk buffers before the accepted draws are joined
+    del sampler, first, types, keep  # release the last chunk and its buffers before the accepted draws are joined
     if not kept_words:
         raise LowEffectiveSampleError(
             f"0 of {samples} proposals landed in ({lo}, {hi}); "

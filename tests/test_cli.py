@@ -15,6 +15,7 @@ import tiltlab
 from tiltlab import cli, tilting
 from tiltlab.cli import _config_from_args, build_parser, main
 from tiltlab.experiments import _chi2_quantile, run_experiment
+from tiltlab.montecarlo import LowEffectiveSampleError
 from tiltlab.reports import (
     ExperimentConfig,
     Report,
@@ -486,6 +487,29 @@ def test_library_level_inputs_exit_2_as_config_errors(argv, config, message, cap
     with pytest.raises(ConfigError) as exc:
         run_experiment(_config_from_args(build_parser().parse_args(argv)))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("tail_mass", [1e-17, 1e-300])
+def test_head_mass_that_rounds_to_one_exits_2_on_one_line(tail_mass, capsys, tmp_path):
+    # The law is strictly positive, but its second mass is 1.0 in floating
+    # point.  No proposal lands in the window: a typed error, not a crash.
+    config = {
+        "experiment": "windows",
+        "baseline": {"kind": "masses", "values": [tail_mass, 1]},
+        "constraint": {"kind": "equality", "target": 1.5},
+        "method": "rejection",
+        "samples": 2000,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["windows", "--config", str(config_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 0 of 2000 proposals landed in (")
+    assert captured.err.count("\n") == 1
+    with pytest.raises(LowEffectiveSampleError):
+        run_experiment(_config_from_args(build_parser().parse_args(argv)))
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch):

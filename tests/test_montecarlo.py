@@ -15,8 +15,9 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
-from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError, product_block_law, tv_distance
-from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction
+from tiltlab.rng import stream
+from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError, product_block_law, tv_distance, word_index
+from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
 
 COIN = Distribution.bernoulli(0.5)
 COIN_H = MomentFunction.from_labels(COIN.alphabet)
@@ -167,7 +168,8 @@ def test_unwindowed_constraint_is_refused(kind, target):
 class WordStream:
     """Stands in for the generator of ``_draw_window_batch`` on a uniform law
     and for its tail draw: its uniforms pick the first m symbols of each
-    word, and ``tail_counts`` returns the symbol counts of the rest."""
+    word, and ``tail_types`` returns the type of the rest, its symbol counts
+    or on two symbols its head count."""
 
     def __init__(self, words: np.ndarray, m: int, k: int):
         self.words, self.m, self.k = words, m, k
@@ -175,9 +177,14 @@ class WordStream:
     def random(self, shape):
         return (self.words[:, : self.m] + 0.5) / self.k
 
-    def tail_counts(self, rng, rows):
+    def tail_types(self, rng, rows):
         assert rng is self and rows == len(self.words)
-        return (self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1)
+        return type_keys((self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1))
+
+
+def type_keys(counts: np.ndarray) -> np.ndarray:
+    """The sampler's types of count rows: the head counts on two symbols."""
+    return counts[:, 1] if counts.shape[1] == 2 else counts
 
 
 @st.composite
@@ -214,8 +221,11 @@ FALSIFYING_EVENT = (MomentFunction(Alphabet.of_size(3), [0.0, -0.4, 0.3]), 7, -0
 def test_sampler_and_oracle_condition_on_the_same_event(event):
     # Every type of size n is written as one randomly ordered word, and the
     # words, in random order, go through the sampler's batch draw.  It must
-    # return the types as count rows, and the verdict on each row must be the
-    # oracle's, whatever the order of the words and of their symbols.
+    # return the types (count rows, or head counts on two symbols), and the
+    # verdict on each must be the oracle's, whatever the order of the words
+    # and of their symbols.  The verdicts on two symbols come from a table
+    # over the head counts, which must equal the oracle's on every row, as
+    # the tabulated sums of h must equal each row's own.
     h, n, lo, hi, m, seed = event
     table = h.table[:, 0]
     target, epsilon = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -228,26 +238,29 @@ def test_sampler_and_oracle_condition_on_the_same_event(event):
     sorted_words = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(len(counts), n)
     words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)
     order = rng.permutation(len(counts))
-    stream = WordStream(words[order], m, k)
-    first, rows = montecarlo._draw_window_batch(
-        stream, Distribution.uniform(h.alphabet), m, len(counts), stream.tail_counts
-    )
+    words_in = WordStream(words[order], m, k)
+    law = Distribution.uniform(h.alphabet)
+    first, types = montecarlo._draw_window_batch(words_in, law, m, len(counts), words_in.tail_types)
+    sampler = montecarlo._type_sampler(law, c, n, m, len(counts))
     assert np.array_equal(first, words[order, :m])
-    assert np.array_equal(rows, counts[order])
-    assert np.array_equal(c.holds_for_counts(rows), c.holds_for_counts(counts)[order])
+    assert np.array_equal(types, type_keys(counts[order]))
+    assert np.array_equal(sampler.holds(types), c.holds_for_counts(counts)[order])
+    assert np.array_equal(sampler.holds(type_keys(counts)), c.holds_for_counts(counts))
+    assert np.array_equal(sampler.statistic(type_keys(counts)), counts @ table)
 
 
 @pytest.mark.parametrize("trials", [0, 1, 24, 99, 149, 1000])
 def test_binomial_alias_table_holds_the_binomial_law(trials):
     # Value j's mass is its own cell's kept share plus the shares given away
-    # by the cells aliased to j, over the trials + 1 cells.
-    for p1 in (0.5, 0.75, 0.1, 1e-3):
-        prob, alias = montecarlo._binomial_alias(trials, p1)
+    # by the cells aliased to j, over the trials + 1 cells.  In the last law
+    # the head mass rounds to 1, so 1 - p1 is 0 and only p0 gives the odds.
+    for p0, p1 in [(1 - p1, p1) for p1 in (0.5, 0.75, 0.1, 1e-3)] + [(1e-17, 1.0)]:
+        prob, alias = montecarlo._binomial_alias(trials, p0, p1)
         assert np.all((prob >= 0) & (prob <= 1))
         mass = prob.copy()
         np.add.at(mass, alias, 1.0 - prob)
         mass /= trials + 1
-        exact = [math.comb(trials, j) * p1**j * (1 - p1) ** (trials - j) for j in range(trials + 1)]
+        exact = [math.comb(trials, j) * p1**j * p0 ** (trials - j) for j in range(trials + 1)]
         np.testing.assert_allclose(mass, exact, rtol=0, atol=1e-13)
 
 
@@ -255,11 +268,11 @@ def test_two_symbol_tail_draw_matches_the_multinomial():
     # 2e5 rows of each draw over 25 head counts: the two histograms lie
     # about 0.004 apart in TV when both draws have the same law.
     law, rows = Distribution.bernoulli(0.3), 200_000
-    counts = montecarlo._tail_sampler(law, 24, rows)(np.random.default_rng(0), rows)
-    assert counts.shape == (rows, 2)
-    assert np.all(counts.sum(axis=1) == 24)
+    heads = montecarlo._type_sampler(law, window(0.5, 0.25), 25, 1, rows).tail(np.random.default_rng(0), rows)
+    assert heads.shape == (rows,)
+    assert np.all((heads >= 0) & (heads <= 24))
     multinomial = np.random.default_rng(1).multinomial(24, law.masses, size=rows)
-    gap = np.bincount(counts[:, 1], minlength=25) - np.bincount(multinomial[:, 1], minlength=25)
+    gap = np.bincount(heads, minlength=25) - np.bincount(multinomial[:, 1], minlength=25)
     assert 0.5 * np.abs(gap).sum() / rows < 0.01
 
 
@@ -267,15 +280,77 @@ def test_two_symbol_tail_draw_reads_one_uniform_per_row():
     # Each head count is its uniform's cell or that cell's alias, and a
     # shorter second chunk in the reused buffers reads the stream as fresh
     # arrays would.
-    prob, alias = montecarlo._binomial_alias(99, 0.75)
-    draw = montecarlo._tail_sampler(Distribution.bernoulli(0.75), 99, 1000)
+    prob, alias = montecarlo._binomial_alias(99, 0.25, 0.75)
+    draw = montecarlo._type_sampler(Distribution.bernoulli(0.75), window(0.5, 0.25), 100, 1, 1000).tail
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     for rows in (1000, 300):
-        counts = draw(rng, rows)
+        drawn = draw(rng, rows)
         x = twin.random(rows) * 100
         cell = x.astype(int)
+        assert np.array_equal(drawn, np.where(x < cell + prob[cell], cell, alias[cell]))
+
+
+def count_row_draws(p, c, n, m, samples, method, seed, stream_index):
+    """The two-symbol sampler written as a loop over count rows: each
+    proposal's first m symbols by ``searchsorted``, its full row of symbol
+    tallies and its own ``holds_for_counts`` verdict and sum of h.  It reads
+    the same uniforms as ``_conditioned_draws`` and returns the same values."""
+    if method == "rejection":
+        proposal, lam, logz = p, 0.0, 0.0
+    else:
+        solution = i_project(p, c)
+        proposal, lam, logz = solution.tilted, float(solution.multiplier[0]), solution.log_partition
+    rng = stream(seed, montecarlo._METHOD_STREAM[method] + 2 * stream_index)
+    chunk_rows = min(samples, max(1, montecarlo._CHUNK_CELLS // n))
+    prob, alias = montecarlo._binomial_alias(n - m, *proposal.masses.tolist())
+    cum = np.cumsum(proposal.masses)
+    cum[-1] = 1.0
+    words, sums = [], []
+    for start in range(0, samples, chunk_rows):
+        rows = min(chunk_rows, samples - start)
+        first = np.searchsorted(cum, rng.random((rows, m)), side="right")
+        x = rng.random(rows) * (n - m + 1)
+        cell = x.astype(np.intp)
         heads = np.where(x < cell + prob[cell], cell, alias[cell])
-        assert np.array_equal(counts, np.stack([99 - heads, heads], axis=1))
+        counts = np.stack([n - m - heads, heads], axis=1)
+        for symbol, tally in enumerate(counts.T):
+            for column in first.T:
+                tally += column == symbol
+        keep = c.holds_for_counts(counts)
+        words.append(word_index(first[keep], 2, m))
+        sums.append(counts[keep] @ c.function.table[:, 0])
+    word_idx, sums = np.concatenate(words), np.concatenate(sums)
+    if method == "rejection":
+        weights = np.full(word_idx.size, 1.0 / word_idx.size)
+    else:
+        log_w = -lam * sums + n * logz
+        log_w -= log_w.max()
+        weights = np.exp(np.maximum(log_w, -700.0))
+        weights /= weights.sum()
+    return word_idx, weights, 1.0 / float((weights**2).sum())
+
+
+# Both ends of the first window are lattice means at n = 13 (4 and 9 heads),
+# so rows sit on its open ends, where the tolerance of `holds` decides.
+LATTICE_ENDS = (-0.3 + 4 / 13, -0.3 + 9 / 13)
+
+
+@pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
+@pytest.mark.parametrize(
+    "m, n, ends", [(1, 13, LATTICE_ENDS), (2, 13, LATTICE_ENDS), (3, 13, (0.0, 0.5)), (2, 2, (0.0, 0.5)), (3, 3, (0.0, 0.5))]
+)
+def test_head_count_draws_equal_the_count_row_loop(monkeypatch, method, m, n, ends):
+    # Chunks of 3000 // n rows leave a shorter last chunk of the 2500
+    # proposals, and n = m draws no tail symbol.  At n = m = 1 no mean lies
+    # strictly inside the value range, so no window has an accepted draw.
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 3000)
+    law = Distribution.bernoulli(0.3)
+    c = window(0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0]), MomentFunction(law.alphabet, [-0.3, 0.7]))
+    got = montecarlo._conditioned_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
+    want = count_row_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 # -------------------------------------------------------------------- sweeps
