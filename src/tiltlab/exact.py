@@ -40,7 +40,6 @@ from .tilting import InfeasibleConstraintError, MomentConstraint, i_project
 __all__ = [
     "ConditionalWeights",
     "ConvergenceRecord",
-    "BoundCheck",
     "enumerate_types",
     "type_log_prob",
     "sanov_bounds_check",
@@ -58,8 +57,9 @@ WEIGHT_SUM_TOL = 1e-10
 SANOV_SLACK_TOL = 1e-9  # rounding slack of each side of the Sanov sandwich, in nats
 COUPLING_TV_TOL = 1e-12  # rounding slack of the collision-coupling TV bound
 FEASIBLE_PROBE_LIMIT = 400  # largest size probed for the smallest feasible n
-# Rows per block of the type table and per table of prefixes grown for it: a few
-# hundred KiB of temporaries, so enumeration leaves the peak resident set unchanged.
+# Rows per block of the type table and per table of prefixes grown for it, and
+# 4 times the cells per (type, count class) table of the block mixture: a few
+# hundred KiB of temporaries, so neither raises the peak resident set.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -93,13 +93,6 @@ class ConditionalWeights:
         weights.flags.writeable = False
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Per-row outcome of an inequality check."""
-
-    passed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -220,20 +213,21 @@ def _divergences(freq: np.ndarray, p: Distribution) -> np.ndarray:
     return (freq * (np.log(np.where(freq > 0, freq, 1.0)) - np.log(p.masses))).sum(axis=1)
 
 
-def sanov_bounds_check(counts, p: Distribution) -> BoundCheck:
+def sanov_bounds_check(counts, p: Distribution) -> np.ndarray:
     """Check the type-probability sandwich on each row, in log-domain.
 
         (n+1)^(-k) exp(-n D(Q||P))  <=  Pr(type = Q)  <=  exp(-n D(Q||P))
 
-    where Q is the row's frequency view.  A side passes when its log-scale
-    slack, the margin by which it holds, is at least -``SANOV_SLACK_TOL``.
+    where Q is the row's frequency view, and return whether each row passes.
+    A side passes when its log-scale slack, the margin by which it holds, is
+    at least -``SANOV_SLACK_TOL``.
     """
     counts, n = _type_rows(counts, p.alphabet, p)
     log_prob = type_log_prob(counts, p)
     divergence = n * _divergences(counts / n[:, None], p)
     upper_slack = -divergence - log_prob
     lower_slack = log_prob - (-p.alphabet.size * np.log(n + 1) - divergence)
-    return BoundCheck(passed=(upper_slack >= -SANOV_SLACK_TOL) & (lower_slack >= -SANOV_SLACK_TOL))
+    return (upper_slack >= -SANOV_SLACK_TOL) & (lower_slack >= -SANOV_SLACK_TOL)
 
 
 def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> ConditionalWeights:
@@ -273,16 +267,11 @@ def _smallest_feasible_n(k: int, c: MomentConstraint) -> int | None:
 @lru_cache(maxsize=64)
 def _word_classes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The count classes of length-m words (the types of size m, as rows of
-    counts) and each word's class index, in the word order of BlockLaw.
-
-    A word's class is fixed by its symbols sorted, so the classes are the
-    distinct sorted digit rows of the word indices 0 .. k^m - 1; refuses
-    more than ``DEFAULT_WORD_CAP`` words.
-    """
+    counts) and each word's class index, in the word order of BlockLaw;
+    refuses more than ``DEFAULT_WORD_CAP`` words."""
     check_word_cap(k, m)
     digits = np.arange(k**m)[:, None] // k ** np.arange(m - 1, -1, -1) % k
-    sorted_words, inverse = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
-    classes = (sorted_words[:, :, None] == np.arange(k)).sum(axis=1)
+    classes, inverse = np.unique((digits[:, :, None] == np.arange(k)).sum(axis=1), axis=0, return_inverse=True)
     return classes, inverse.ravel()
 
 
@@ -291,26 +280,31 @@ def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -
     replacement from each type (row of counts) of size n.
 
     A word's mass prod_j (n_j)_{c_j} / (n)_m depends only on its symbol
-    counts c, so it is computed once per count class, accumulated in type
-    order, and then expanded to the words.
+    counts c, so each block of types gets one table of falling-factorial
+    products over (type, count class), built one symbol at a time; its rows
+    are weighted and added to the total in type order, and the total is
+    then expanded to the words.  The products are int64 while n^m < 2^62,
+    where none overflows, and Python ints past that, so the division by
+    (n)_m rounds each exact product once either way.
     """
     classes, inverse = _word_classes(k, m)
     denom = math.prod(range(n, n - m, -1))
+    dtype = np.int64 if n**m < 2**62 else object
+    rows = np.asarray(rows).astype(dtype)
+    weights = np.asarray(weights, dtype=float)
+    steps = np.arange(m).astype(dtype)
+    block = max(1, _BLOCK_ROWS * 4 // len(classes))
     total = np.zeros(len(classes))
-    if n**m < 2**62:
-        steps, symbols = np.arange(m), np.arange(k)
-        falling = np.ones((k, m + 1), dtype=np.int64)  # falling[j, c] = (n_j)_c
-        for row, w in zip(np.asarray(rows, dtype=np.int64), weights):
-            np.cumprod(np.maximum(row[:, None] - steps, 0), axis=1, out=falling[:, 1:])
-            total += w * (falling[symbols, classes].prod(axis=1) / denom)
-        return total[inverse]
-    # Falling-factorial products overflow int64 at this size: exact big-int path.
-    for row, w in zip(np.asarray(rows).tolist(), weights):
-        masses = [
-            math.prod(math.prod(range(nj, nj - cj, -1)) for nj, cj in zip(row, counts)) / denom
-            for counts in classes.tolist()
-        ]
-        total += w * np.array(masses)
+    for start in range(0, len(rows), block):
+        pool = np.maximum(rows[start : start + block, :, None] - steps, 0)
+        falling = np.ones((len(pool), k, m + 1), dtype=dtype)  # falling[t, j, c] = (n_j)_c of type t
+        falling[:, :, 1:] = np.cumprod(pool, axis=2)
+        products = falling[:, 0, classes[:, 0]]
+        for j in range(1, k):
+            products *= falling[:, j, classes[:, j]]
+        weighted = weights[start : start + block, None] * np.asarray(products / denom, dtype=float)
+        weighted[0] += total
+        total = np.add.accumulate(weighted, axis=0)[-1]  # sequential, unlike add.reduce
     return total[inverse]
 
 

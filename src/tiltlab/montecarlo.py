@@ -197,17 +197,15 @@ class _TypeSampler(NamedTuple):
     statistic: Callable[[np.ndarray], np.ndarray]
 
 
-def _type_sampler(law: Distribution, c: MomentConstraint, n: int, m: int, max_rows: int) -> _TypeSampler:
-    """Type draws and verdicts for proposals from ``law``, at most
-    ``max_rows`` rows per draw.  On two symbols a type is the head count j,
-    and its verdict and sum of h are looked up in tables over the n + 1
-    rows (n - j, j), built once with
+def _type_sampler(law: Distribution, c: MomentConstraint, n: int, m: int) -> _TypeSampler:
+    """Type draws and verdicts for proposals from ``law``.  On two symbols a
+    type is the head count j, and its verdict and sum of h are looked up in
+    tables over the n + 1 rows (n - j, j), built once with
     :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts`; the tail's
     head count takes one uniform per row, the alias-table draw of
-    :func:`_binomial_alias`, into buffers reused from call to call, so each
-    draw overwrites the previous one.  More symbols take
-    ``rng.multinomial``, whose table over tail count rows would have
-    C(n - m + k - 1, k - 1) cells, and reduce each count row on its own.
+    :func:`_binomial_alias`.  More symbols take ``rng.multinomial``, whose
+    table over tail count rows would have C(n - m + k - 1, k - 1) cells,
+    and reduce each count row on its own.
     """
     values = c.function.table[:, 0]
     trials = n - m
@@ -219,22 +217,11 @@ def _type_sampler(law: Distribution, c: MomentConstraint, n: int, m: int, max_ro
     types = np.stack([n - heads, heads], axis=1)
     prob, alias = _binomial_alias(trials, *law.masses.tolist())
     upper = np.arange(trials + 1) + prob  # u*K below cell j's upper end keeps j
-    scaled = np.empty(max_rows)
-    cell = np.empty(max_rows, dtype=np.intp)
-    limit = np.empty(max_rows)
-    stay = np.empty(max_rows, dtype=bool)
-    tail_heads = np.empty(max_rows, dtype=np.intp)
 
     def tail(rng: np.random.Generator, rows: int) -> np.ndarray:
-        u = rng.random(rows, out=scaled[:rows])
-        np.multiply(u, trials + 1, out=u)
-        at = cell[:rows]
-        np.copyto(at, u, casting="unsafe")  # floor, since u >= 0
-        # Cells are in range; mode="clip" only spares np.take a copy of out.
-        keeps_cell = np.less(u, np.take(upper, at, out=limit[:rows], mode="clip"), out=stay[:rows])
-        drawn = np.take(alias, at, out=tail_heads[:rows], mode="clip")
-        np.copyto(drawn, at, where=keeps_cell)
-        return drawn
+        u = rng.random(rows) * (trials + 1)
+        cell = u.astype(np.intp)  # floor, since u >= 0
+        return np.where(u < upper[cell], cell, alias[cell])
 
     return _TypeSampler(tail, c.holds_for_counts(types).take, (types @ values).take)
 
@@ -297,7 +284,7 @@ def _conditioned_draws(
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
     chunk_rows = min(samples, max(1, _CHUNK_CELLS // max(n, 1)))
-    sampler = _type_sampler(proposal, c, n, m, chunk_rows)
+    sampler = _type_sampler(proposal, c, n, m)
     kept_words: list[np.ndarray] = []
     kept_sums: list[np.ndarray] = []
     remaining = samples
@@ -311,7 +298,7 @@ def _conditioned_draws(
             if method != "rejection":  # only the importance weights read the statistic
                 kept_sums.append(sampler.statistic(types[keep]))
 
-    del sampler, first, types, keep  # release the last chunk and its buffers before the accepted draws are joined
+    del first, types, keep  # release the last chunk before the accepted draws are joined
     if not kept_words:
         raise LowEffectiveSampleError(
             f"0 of {samples} proposals landed in ({lo}, {hi}); "

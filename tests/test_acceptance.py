@@ -213,7 +213,7 @@ def test_criterion_4_type_probability_sandwich_exhaustive():
                 total = 0.0
                 for block in enumerate_types(k, n):
                     checked += len(block)
-                    violations += int(np.count_nonzero(~sanov_bounds_check(block, p).passed))
+                    violations += int(np.count_nonzero(~sanov_bounds_check(block, p)))
                     total += float(np.exp(type_log_prob(block, p)).sum())
                 worst_total_gap = max(worst_total_gap, abs(total - 1.0))
     elapsed = time.perf_counter() - start

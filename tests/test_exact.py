@@ -137,16 +137,16 @@ def test_sanov_upper_bound_tight_for_point_type(monkeypatch):
     # The upper side's slack is within 1e-9 of 0: the row passes when each
     # side needs a slack of at least -1e-9 (the default) and fails when it
     # needs at least +1e-9.
-    assert sanov_bounds_check([[12, 0]], COIN).passed.tolist() == [True]
+    assert sanov_bounds_check([[12, 0]], COIN).tolist() == [True]
     monkeypatch.setattr(exact, "SANOV_SLACK_TOL", -1e-9)
-    assert sanov_bounds_check([[12, 0]], COIN).passed.tolist() == [False]
+    assert sanov_bounds_check([[12, 0]], COIN).tolist() == [False]
 
 
 @pytest.mark.parametrize("k,n", [(2, 10), (3, 15)])
 def test_sanov_bounds_exhaustive_small(k, n):
     p = Distribution(Alphabet.of_size(k), RNG.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
     table = all_types(k, n)
-    assert sanov_bounds_check(table, p).passed.all()
+    assert sanov_bounds_check(table, p).all()
     # The two terms of each side's slack, against their plain-Python values.
     log_probs, divergences = type_log_prob(table, p), exact._divergences(table / n, p)
     for row, log_prob, divergence in zip(table.tolist(), log_probs, divergences):
@@ -538,8 +538,8 @@ def test_block_mixture_matches_per_type_hypergeometric_laws(p, c, n, m):
 
 
 def test_block_mixture_big_int_path_matches_int64_path():
-    # At m = 7, n^m crosses 2^62 near n = 462: n = 400 takes the int64
-    # path and n = 700 the exact big-int one.
+    # At m = 7, n^m crosses 2^62 near n = 463: n = 400 takes int64
+    # products and n = 700 exact Python ints.
     for n in (400, 700):
         counts = (n // 4, n - n // 4)
         law = hypergeometric_block_law(COIN.alphabet, counts, 7)
@@ -547,6 +547,56 @@ def test_block_mixture_big_int_path_matches_int64_path():
             ones = sum(word)
             expected = math.perm(counts[1], ones) * math.perm(counts[0], 7 - ones) / math.perm(n, 7)
             assert law.mass(word) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def per_type_mixture(k, rows, weights, n, m):
+    """The block mixture written as a loop over types: each word's count
+    class from its sorted digits, an int64 falling-factorial product per
+    (type, class) while n^m < 2^62 and exact Python ints past that, and each
+    type's weighted masses added to the total in type order."""
+    digits = np.arange(k**m)[:, None] // k ** np.arange(m - 1, -1, -1) % k
+    sorted_words, inverse = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
+    classes = (sorted_words[:, :, None] == np.arange(k)).sum(axis=1)
+    denom = math.prod(range(n, n - m, -1))
+    total = np.zeros(len(classes))
+    if n**m < 2**62:
+        steps, symbols = np.arange(m), np.arange(k)
+        falling = np.ones((k, m + 1), dtype=np.int64)  # falling[j, c] = (n_j)_c
+        for row, w in zip(np.asarray(rows, dtype=np.int64), weights):
+            np.cumprod(np.maximum(row[:, None] - steps, 0), axis=1, out=falling[:, 1:])
+            total += w * (falling[symbols, classes].prod(axis=1) / denom)
+    else:
+        for row, w in zip(np.asarray(rows).tolist(), weights):
+            masses = [
+                math.prod(math.prod(range(nj, nj - cj, -1)) for nj, cj in zip(row, counts)) / denom
+                for counts in classes.tolist()
+            ]
+            total += w * np.array(masses)
+    return total[inverse.ravel()]
+
+
+def random_types(rng, k, n, rows):
+    """``rows`` random types of size n on k symbols, from sorted cut points."""
+    cuts = np.sort(rng.integers(0, n + 1, size=(rows, k - 1)), axis=1)
+    return np.diff(np.column_stack([np.zeros(rows, dtype=int), cuts, np.full(rows, n)]), axis=1)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, exact._BLOCK_ROWS])
+def test_block_mixture_table_equals_the_per_type_loop(block_rows, monkeypatch):
+    # Bit for bit, over several ragged blocks of types, for int64 products
+    # (n^m < 2^62) and Python-int ones (n^m >= 2^62) on either side of the
+    # switch, on sizes past 2^53 where the products round when divided.
+    rng = np.random.default_rng(24)
+    die = conditional_weights(DIE, MomentConstraint(DIE_H, "equality", [4.5]), 24)
+    cases = [(6, die.types, die.weights, 24, 5)]
+    for k, n, m, rows in [(2, 40, 5, 301), (3, 2000, 4, 257), (2, 463, 7, 103), (2, 464, 7, 103),
+                          (3, 1_664_510, 3, 67), (3, 1_664_511, 3, 67), (4, 10**6, 6, 29)]:
+        weights = rng.random(rows)
+        cases.append((k, random_types(rng, k, n, rows), weights / weights.sum(), n, m))
+    monkeypatch.setattr(exact, "_BLOCK_ROWS", block_rows)  # after the enumeration above
+    for k, rows, weights, n, m in cases:
+        expected = per_type_mixture(k, rows, weights, n, m)
+        assert np.array_equal(exact._hypergeometric_mixture(k, rows, weights, n, m), expected)
 
 
 @st.composite

@@ -241,7 +241,7 @@ def test_sampler_and_oracle_condition_on_the_same_event(event):
     words_in = WordStream(words[order], m, k)
     law = Distribution.uniform(h.alphabet)
     first, types = montecarlo._draw_window_batch(words_in, law, m, len(counts), words_in.tail_types)
-    sampler = montecarlo._type_sampler(law, c, n, m, len(counts))
+    sampler = montecarlo._type_sampler(law, c, n, m)
     assert np.array_equal(first, words[order, :m])
     assert np.array_equal(types, type_keys(counts[order]))
     assert np.array_equal(sampler.holds(types), c.holds_for_counts(counts)[order])
@@ -268,7 +268,7 @@ def test_two_symbol_tail_draw_matches_the_multinomial():
     # 2e5 rows of each draw over 25 head counts: the two histograms lie
     # about 0.004 apart in TV when both draws have the same law.
     law, rows = Distribution.bernoulli(0.3), 200_000
-    heads = montecarlo._type_sampler(law, window(0.5, 0.25), 25, 1, rows).tail(np.random.default_rng(0), rows)
+    heads = montecarlo._type_sampler(law, window(0.5, 0.25), 25, 1).tail(np.random.default_rng(0), rows)
     assert heads.shape == (rows,)
     assert np.all((heads >= 0) & (heads <= 24))
     multinomial = np.random.default_rng(1).multinomial(24, law.masses, size=rows)
@@ -278,10 +278,9 @@ def test_two_symbol_tail_draw_matches_the_multinomial():
 
 def test_two_symbol_tail_draw_reads_one_uniform_per_row():
     # Each head count is its uniform's cell or that cell's alias, and a
-    # shorter second chunk in the reused buffers reads the stream as fresh
-    # arrays would.
+    # shorter second chunk reads the stream where the first left it.
     prob, alias = montecarlo._binomial_alias(99, 0.25, 0.75)
-    draw = montecarlo._type_sampler(Distribution.bernoulli(0.75), window(0.5, 0.25), 100, 1, 1000).tail
+    draw = montecarlo._type_sampler(Distribution.bernoulli(0.75), window(0.5, 0.25), 100, 1).tail
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     for rows in (1000, 300):
         drawn = draw(rng, rows)
