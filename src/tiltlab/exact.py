@@ -14,6 +14,10 @@ computations possible on small alphabets:
   satisfies a moment constraint, as the Sanov-weighted mixture of those
   hypergeometric laws.
 
+Conditioned on a constraint, the types grow one symbol at a time and a
+prefix grows on only while some completion can still meet the constraint,
+so the cost tracks the feasible types rather than all C(n+k-1, k-1).
+
 These are the verification oracles against which both the tilt solver's
 limit law and the Monte Carlo samplers are checked.  Everything here but
 :func:`entropy_concentration`, which samples types, is deterministic and
@@ -29,13 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .rng import stream
 from .simplex import Alphabet, BlockLaw, Distribution, EnumerationCapError, check_word_cap, product_block_law, tv_distance
-from .tilting import InfeasibleConstraintError, MomentConstraint, i_project
+from .tilting import LATTICE_TOL, InfeasibleConstraintError, MomentConstraint, i_project
 
 __all__ = [
     "ConditionalWeights",
@@ -161,18 +165,53 @@ def enumerate_types(k: int, n: int) -> Iterator[np.ndarray]:
     children 0..r, and the last symbol takes what is left.  Refuses upfront,
     before any allocation, when C(n+k-1, k-1) exceeds ``DEFAULT_TYPE_CAP``.
     """
+    return _types(k, n, None)
+
+
+def _types(k: int, n: int, c: MomentConstraint | None) -> Iterator[np.ndarray]:
+    """The blocks of :func:`enumerate_types`, after its cap check; given a
+    constraint ``c``, only the prefixes that some completion can bring into
+    ``c``'s box of sums grow, so the rows are a superset of the types that
+    meet ``c``, in the same order, and a size with none may yield no block."""
     if n < 1:
         raise ValueError(f"type size must be >= 1, got {n}")
     count = type_space_size(k, n)
     if count > DEFAULT_TYPE_CAP:
         raise EnumerationCapError(f"{count} types of size {n} on {k} symbols exceed the cap of {DEFAULT_TYPE_CAP}")
-    return _grow(np.empty((1, 0), dtype=np.int64), np.array([n]), k)
+    return _grow(np.empty((1, 0), dtype=np.int64), np.array([n]), k, None if c is None else _reachable(c, n))
 
 
-def _grow(prefixes: np.ndarray, left: np.ndarray, k: int) -> Iterator[np.ndarray]:
+def _reachable(c: MomentConstraint, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Which prefixes of size-n types, with their counts left, some completion
+    can bring into n times ``c``'s closed box of means (the target of an
+    equality, [target, inf) of a halfspace, the closed window), widened by 4n
+    times the tolerance of :meth:`MomentConstraint.holds`, far more than the
+    rounding of any sum.  A prefix of j symbols with sums s of h and r counts
+    left reaches s + r [min, max] of h over the symbols from j on."""
+    h = c.function.table
+    if c.epsilon is not None:
+        lo, hi = c.window
+    else:
+        lo, hi = c.target, (math.inf if c.kind == "halfspace" else c.target)
+    slack = 4 * n * LATTICE_TOL * max(1.0, float(np.abs(h).max()))
+    lo, hi = n * lo - slack, n * hi + slack
+    least = np.minimum.accumulate(h[::-1])[::-1]  # least[j]: min of h over the symbols j..k-1
+    most = np.maximum.accumulate(h[::-1])[::-1]
+
+    def keep(prefixes: np.ndarray, left: np.ndarray) -> np.ndarray:
+        j = prefixes.shape[1]
+        sums = prefixes @ h[:j]
+        left = left[:, None]
+        return np.all((sums + left * most[j] >= lo) & (sums + left * least[j] <= hi), axis=1)
+
+    return keep
+
+
+def _grow(prefixes: np.ndarray, left: np.ndarray, k: int, keep: Callable | None) -> Iterator[np.ndarray]:
     """Blocks of every type that extends a row of ``prefixes`` by its ``left``
-    counts, in lexicographic order.  The prefixes are cut into runs whose
-    children fill one block; a prefix with more children is a run of its own."""
+    counts, in lexicographic order, growing only the children that ``keep``
+    (None: all) accepts.  The prefixes are cut into runs whose children fill
+    one block; a prefix with more children is a run of its own."""
     if prefixes.shape[1] == k - 1:
         yield np.column_stack((prefixes, left))
         return
@@ -188,7 +227,12 @@ def _grow(prefixes: np.ndarray, left: np.ndarray, k: int) -> Iterator[np.ndarray
             repeats = sizes if stop - start > 1 else hi - lo
             counts = np.arange(lo, hi) - np.repeat(ends[start:stop] - sizes - first, repeats)
             children = np.column_stack((np.repeat(prefixes[start:stop], repeats, axis=0), counts))
-            yield from _grow(children, np.repeat(left[start:stop], repeats) - counts, k)
+            rest = np.repeat(left[start:stop], repeats) - counts
+            if keep is not None:
+                grown = keep(children, rest)
+                children, rest = children[grown], rest[grown]
+            if len(rest):
+                yield from _grow(children, rest, k, keep)
         start = stop
 
 
@@ -240,7 +284,8 @@ def conditional_weights(p: Distribution, c: MomentConstraint, n: int) -> Conditi
     """
     k = p.alphabet.size
     _type_rows(np.empty((0, k), dtype=int), c.function.alphabet, p)  # checks p before enumerating
-    rows = np.concatenate([block[c.holds_for_counts(block)] for block in enumerate_types(k, n)])
+    blocks = [block[c.holds_for_counts(block)] for block in _types(k, n, c)]
+    rows = np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
     if not len(rows):
         hint = ""
         smallest = _smallest_feasible_n(k, c)
@@ -259,7 +304,7 @@ def _smallest_feasible_n(k: int, c: MomentConstraint) -> int | None:
     for n in range(1, FEASIBLE_PROBE_LIMIT + 1):
         if type_space_size(k, n) > 10**6:
             return None
-        if any(c.holds_for_counts(block).any() for block in enumerate_types(k, n)):
+        if any(c.holds_for_counts(block).any() for block in _types(k, n, c)):
             return n
     return None
 
@@ -267,12 +312,28 @@ def _smallest_feasible_n(k: int, c: MomentConstraint) -> int | None:
 @lru_cache(maxsize=64)
 def _word_classes(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The count classes of length-m words (the types of size m, as rows of
-    counts) and each word's class index, in the word order of BlockLaw;
-    refuses more than ``DEFAULT_WORD_CAP`` words."""
+    counts, in lexicographic order) and each word's class index, in the word
+    order of BlockLaw; refuses more than ``DEFAULT_WORD_CAP`` words.
+
+    The (k^m, k) table of each word's symbol counts, in a small integer
+    dtype, grows one leading symbol at a time: the words of length i + 1
+    starting with symbol j count one j more than the words of length i.  A
+    stable sort of its rows and the boundaries of the runs of equal rows
+    give the classes and each word's index.
+    """
     check_word_cap(k, m)
-    digits = np.arange(k**m)[:, None] // k ** np.arange(m - 1, -1, -1) % k
-    classes, inverse = np.unique((digits[:, :, None] == np.arange(k)).sum(axis=1), axis=0, return_inverse=True)
-    return classes, inverse.ravel()
+    tally = np.zeros((1, k), dtype=np.min_scalar_type(m))
+    for _ in range(m):
+        tally = (np.eye(k, dtype=tally.dtype)[:, None] + tally).reshape(-1, k)
+    order = np.lexsort(tally.T[::-1])
+    ranked = tally[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    classes = ranked[first]
+    classes.flags.writeable = inverse.flags.writeable = False  # one cached pair serves every caller
+    return classes, inverse
 
 
 def _hypergeometric_mixture(k: int, rows: np.ndarray, weights, n: int, m: int) -> np.ndarray:

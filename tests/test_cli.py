@@ -551,6 +551,30 @@ def test_unreadable_config_file_exits_2(contents, message, capsys, tmp_path):
     assert captured.err == f"error: {message.format(config_path)}\n"
 
 
+@pytest.mark.parametrize(
+    "constraint, n_grid, size",
+    [
+        ({"kind": "equality", "target": 4.5}, [5, 6], 5),
+        ({"kind": "equality", "h": [[1, 0], [2, 1], [3, 0], [4, 1], [5, 0], [6, 1]], "target": [4.5, 0.5]}, [3, 6], 3),
+    ],
+    ids=["mean", "mean-and-even"],
+)
+def test_grid_size_with_no_feasible_type_exits_2(constraint, n_grid, size, capsys, tmp_path):
+    # No die type of that size has the target means, so growth prunes every
+    # type of it: a typed error naming the smallest feasible size.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "experiment": "theorem1",
+        "baseline": {"kind": "uniform", "k": 6},
+        "constraint": constraint,
+        "n_grid": n_grid,
+    }))
+    assert main(["theorem1", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no type of size {size} satisfies the constraint; smallest feasible size is n = 2\n"
+
+
 @pytest.mark.parametrize("experiment", ["dice", "theorem1"])
 def test_target_just_past_a_slanted_face_exits_2(experiment, capsys, tmp_path):
     # (0.5 + 1e-8)(1, 1) is outside the triangle's face x + y = 1 but inside

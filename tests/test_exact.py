@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
@@ -23,7 +23,7 @@ from tiltlab.exact import (
     type_space_size,
 )
 from tiltlab.simplex import Alphabet, Distribution, product_block_law, tv_distance
-from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
+from tiltlab.tilting import LATTICE_TOL, InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
 
 RNG = np.random.default_rng(40318)
 
@@ -623,3 +623,78 @@ def random_problem(draw):
 def test_conditional_weights_property_random_baselines(problem):
     p, c, n = problem
     assert_matches_per_type_loop(p, c, n)
+
+
+@st.composite
+def growth_problem(draw):
+    """A constraint on k = 2..5 symbols, with an integer or real h table,
+    whose target, or a window end, sits on the mean of a type of some size
+    up to 15, or a fraction of the tolerance of ``holds`` or twice it away;
+    and a size n up to 15, which may have no feasible type."""
+    k = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["equality", "equality-2d", "halfspace", "window"]))
+    d = 2 if kind == "equality-2d" else 1
+    values = st.integers(-3, 6) if draw(st.booleans()) else st.floats(-5, 5)
+    table = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=k, max_size=k)), dtype=float)
+    assume(np.all(table.max(axis=0) > table.min(axis=0)))
+    h = MomentFunction(Alphabet.of_size(k), table)
+    n0 = draw(st.integers(1, 15))
+    cuts = sorted(draw(st.lists(st.integers(0, n0), min_size=k - 1, max_size=k - 1)))
+    row = np.diff([0, *cuts, n0])
+    tol = LATTICE_TOL * max(1.0, float(np.abs(table).max()))
+    target = row @ table / n0 + draw(st.sampled_from([0.0, -0.5, 0.5, -1.0, 1.0, 2.0])) * tol
+    if kind == "window":
+        epsilon = draw(st.floats(0.05, 2.0))
+        target = target + draw(st.sampled_from([-1, 0, 1])) * epsilon
+        assume(table.min() < target[0] - epsilon and target[0] + epsilon < table.max())
+        c = MomentConstraint(h, "equality", target, epsilon=epsilon)
+    else:
+        c = MomentConstraint(h, "halfspace" if kind == "halfspace" else "equality", target)
+    return c, draw(st.integers(1, 15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(growth_problem(), st.sampled_from([3, 7]))
+def test_pruned_growth_equals_the_filtered_full_enumeration(problem, block_rows):
+    # The types that the pruned growth yields and that meet the constraint
+    # are exactly those of the full table, in its order; no block is empty.
+    # A size with none is a typed error whose hint names the smallest size,
+    # up to 15, with a feasible type in the full table.
+    c, n = problem
+    k = c.function.alphabet.size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_BLOCK_ROWS", block_rows)
+        patch.setattr(exact, "FEASIBLE_PROBE_LIMIT", 15)
+        full = all_types(k, n)
+        expected = full[c.holds_for_counts(full)]
+        blocks = list(exact._types(k, n, c))
+        assert all(0 < len(block) <= block_rows for block in blocks)
+        pruned = np.concatenate([np.empty((0, k), dtype=np.int64), *blocks])
+        assert np.array_equal(pruned[c.holds_for_counts(pruned)], expected)
+        if not len(expected):
+            smallest = next((size for size in range(1, 16) if c.holds_for_counts(all_types(k, size)).any()), None)
+            hint = "" if smallest is None else f"; smallest feasible size is n = {smallest}"
+            with pytest.raises(InfeasibleConstraintError) as error:
+                conditional_weights(Distribution.uniform(c.function.alphabet), c, n)
+            assert str(error.value) == f"no type of size {n} satisfies the constraint{hint}"
+
+
+def test_pruned_growth_grows_few_infeasible_types():
+    # At n = 24, 1,105 of the 118,755 die types have mean 4.5 and 140 have
+    # means (4.5, 0.5); the last symbol's count is fixed by the others, so
+    # growth yields just the feasible types.
+    for h, target, feasible in [(DIE_H, [4.5], 1105), (DIE_H2, [4.5, 0.5], 140)]:
+        c = MomentConstraint(h, "equality", target)
+        rows = np.concatenate(list(exact._types(6, 24, c)))
+        assert len(rows) == c.holds_for_counts(rows).sum() == feasible
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (3, 4), (6, 5), (2, 19), (64, 1)])
+def test_word_classes_are_the_distinct_count_rows_of_the_words(k, m):
+    # (64, 1) has (m+1)^k = 2^64 > 2^63: a base-(m+1) integer key of the
+    # counts would overflow there.
+    classes, inverse = exact._word_classes(k, m)
+    words = np.indices((k,) * m, dtype=np.uint8).reshape(m, -1)  # the first coordinate varies slowest
+    counts = np.stack([(words == j).sum(axis=0) for j in range(k)], axis=1)
+    assert np.array_equal(classes[inverse], counts)
+    assert len(classes) == math.comb(m + k - 1, m) == len(np.unique(classes, axis=0))
