@@ -16,21 +16,26 @@ the empirical mean of its scalar statistic lies in the open window.
 Importance proposals turn the rare window event into a typical one, which
 is what makes far-from-baseline targets tractable.  The weights still thin
 out as n grows, but slowly: the effective sample size falls roughly like
-n^(-1/2), not exponentially in n.  Both samplers draw only
-the first m coordinates explicitly; the remaining n-m coordinates enter the
-window statistic through their symbol counts, which have the same joint law
-as materializing the tail.  On two symbols the tail's head count takes one
-uniform per sequence, an O(1) Walker/Vose alias-table draw from
-Binomial(n-m, p1); on more symbols the counts are one multinomial draw per
-sequence.
+n^(-1/2), not exponentially in n.
 
-A sequence is reduced to its type, the row of its symbol counts (the first
-m symbols' counts plus the tail's), and kept when
-:meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts it.  The
-exact oracle reduces its types the same way, so both condition on the
-identical event, and a type's verdict does not depend on its symbols' order.
-On two symbols the type is the head count j, so the verdicts and the
-statistic are tabulated once per call over the n + 1 rows (n - j, j).
+A sequence is reduced to its type, the row of its symbol counts, and kept
+when :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts
+it.  The exact oracle reduces its types the same way, so both condition on
+the identical event, and a type's verdict does not depend on its symbols'
+order.  Every estimate reads the accepted proposals only through the
+weighted counts of their first-m words.
+
+On two symbols a proposal is summed up by its cell (a, t): a heads among
+the first m symbols and t among the other n - m.  The cell counts of N
+i.i.d. proposals are exactly Multinomial(N, Binom(m, p1)(a) *
+Binom(n - m, p1)(t)), so the sampler draws that histogram, not the
+proposals.  A cell's verdict and weight are those of its head count a + t,
+tabulated once over the n + 1 rows (n - j, j), and an accepted cell's
+count is split uniformly over the C(m, a) words with a heads, which is the
+law of an i.i.d. word given its head count.  Neither the time nor the
+memory grows with N.  On more symbols each proposal draws its first m
+symbols and, in one multinomial draw, the symbol counts of the other
+n - m, which have the same joint law as materializing them.
 
 All randomness flows through counter-based streams keyed by (seed, stream
 id), so estimates are bit-identical across runs for a fixed configuration.
@@ -40,12 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .rng import stream
-from .simplex import Alphabet, BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
+from .simplex import BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
 from .tilting import MomentConstraint, MomentFunction, i_project, solve_moment_equality
 
 __all__ = [
@@ -63,7 +68,7 @@ METHODS = ("rejection", "tilt-importance")
 _METHOD_STREAM = {"rejection": 1, "tilt-importance": 2}
 MIN_SAMPLES = 10**3
 MIN_ESS = 50.0
-_CHUNK_CELLS = 4 * 10**6  # simulated coordinates per chunk; rows scale as 1/n
+_CHUNK_CELLS = 5 * 10**4  # array cells per chunk of draws
 
 
 class LowEffectiveSampleError(RuntimeError):
@@ -103,8 +108,8 @@ class McEstimate:
     ``std_errors[i]`` is the weighted sampling standard error of the mass
     of word i in its word order.  With equal weights it reduces to sample
     std over the square root of the accepted count.  ``ess`` is the
-    effective sample size 1 / sum of squared normalized weights (the
-    accepted count under rejection).
+    effective sample size 1 / sum of squared normalized weights, and
+    exactly the accepted count under rejection.
     """
 
     block: BlockLaw
@@ -147,106 +152,108 @@ class RateFit:
     residual_rms: float
 
 
-def _binomial_alias(trials: int, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose alias table of Binomial(trials, p1) over its K = trials + 1
-    cells: a draw picks cell j uniformly, keeps j with probability
-    ``prob[j]`` and otherwise gives ``alias[j]``, so value j has mass
-    (prob[j] + sum of 1 - prob[i] over the cells i aliased to j) / K.
-
-    The masses follow the ratio pmf(j + 1) / pmf(j) = (trials - j) / (j + 1)
-    * p1 / p0 out from the mode, where the unnormalized mass is 1, so none
-    overflows, and are then normalized.  The odds take both masses, so a
-    head mass that rounds to 1 still gives finite odds.  They share no code
-    with the exact oracle's tables, so the sampler stays an independent
-    check of it.
+def _binomial_pmf(trials: int, p0: float, p1: float) -> np.ndarray:
+    """Binomial(trials, p1) over 0..trials.  The masses follow the ratio
+    pmf(j + 1) / pmf(j) = (trials - j) / (j + 1) * p1 / p0 out from the
+    mode, where the unnormalized mass is 1, so none overflows, and are then
+    normalized.  The odds take both masses, so a head mass that rounds to 1
+    still gives finite odds.  The pmf shares no code with the exact oracle's
+    tables, so the sampler stays an independent check of it.
     """
-    size = trials + 1
     odds = p1 / p0
-    mode = min(trials, int(size * p1))
-    mass = [0.0] * size
-    mass[mode] = 1.0
-    for j in range(mode, trials):
-        mass[j + 1] = mass[j] * (trials - j) / (j + 1) * odds
-    for j in range(mode, 0, -1):
-        mass[j - 1] = mass[j] * j / (trials - j + 1) / odds
-    total = math.fsum(mass)
-    scaled = [size * x / total for x in mass]
-    prob = np.ones(size)
-    alias = np.arange(size)
-    small = [j for j in range(size) if scaled[j] < 1.0]
-    large = [j for j in range(size) if scaled[j] >= 1.0]
-    while small and large:
-        j, donor = small.pop(), large.pop()
-        prob[j], alias[j] = scaled[j], donor
-        scaled[donor] = (scaled[donor] + scaled[j]) - 1.0
-        (small if scaled[donor] < 1.0 else large).append(donor)
-    # A cell left in either list holds mass 1 up to rounding and keeps prob 1.
-    return prob, alias
+    mode = min(trials, int((trials + 1) * p1))
+    j = np.arange(trials + 1.0)
+    up = np.cumprod((trials - j[mode:trials]) / (j[mode:trials] + 1) * odds)
+    down = np.cumprod(j[mode:0:-1] / (trials - j[mode:0:-1] + 1) / odds)
+    mass = np.concatenate([down[::-1], [1.0], up])
+    return mass / math.fsum(mass)
 
 
-_Draw = Callable[[np.random.Generator, int], np.ndarray]
+def _weights(sums: np.ndarray, lam: float, logz: float, n: int) -> np.ndarray:
+    """Inverse likelihood ratios exp(-lam*S + n*M(lam)) of whole sequences
+    with h-sums S, scaled so that the largest is 1 (all 1 under rejection)."""
+    log_w = -lam * sums + n * logz
+    return np.exp(np.maximum(log_w - log_w.max(initial=-np.inf), -700.0))
 
 
-class _TypeSampler(NamedTuple):
-    """``tail(rng, rows)`` draws the types of the last n - m symbols of
-    ``rows`` proposals; ``holds`` and ``statistic`` give a type's verdict and
-    its sum of h."""
-
-    tail: _Draw
-    holds: Callable[[np.ndarray], np.ndarray]
-    statistic: Callable[[np.ndarray], np.ndarray]
+def _cell_law(law: Distribution, n: int, m: int) -> np.ndarray:
+    """Two symbols: the law of a proposal's cell (a, t), a heads among the
+    first m symbols and t among the other n - m, shape (m + 1, n - m + 1)."""
+    p0, p1 = law.masses.tolist()
+    return np.outer(_binomial_pmf(m, p0, p1), _binomial_pmf(n - m, p0, p1))
 
 
-def _type_sampler(law: Distribution, c: MomentConstraint, n: int, m: int) -> _TypeSampler:
-    """Type draws and verdicts for proposals from ``law``.  On two symbols a
-    type is the head count j, and its verdict and sum of h are looked up in
-    tables over the n + 1 rows (n - j, j), built once with
-    :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts`; the tail's
-    head count takes one uniform per row, the alias-table draw of
-    :func:`_binomial_alias`.  More symbols take ``rng.multinomial``, whose
-    table over tail count rows would have C(n - m + k - 1, k - 1) cells,
-    and reduce each count row on its own.
-    """
-    values = c.function.table[:, 0]
-    trials = n - m
-    if law.alphabet.size != 2:
-        def multinomial(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return rng.multinomial(trials, law.masses, size=rows)  # zero trials use no draws
-        return _TypeSampler(multinomial, c.holds_for_counts, lambda counts: counts @ values)
+def _cell_table(c: MomentConstraint, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two symbols: each cell's verdict and h-sum, those of its head count
+    a + t, from the n + 1 rows (n - j, j)."""
     heads = np.arange(n + 1)
     types = np.stack([n - heads, heads], axis=1)
-    prob, alias = _binomial_alias(trials, *law.masses.tolist())
-    upper = np.arange(trials + 1) + prob  # u*K below cell j's upper end keeps j
-
-    def tail(rng: np.random.Generator, rows: int) -> np.ndarray:
-        u = rng.random(rows) * (trials + 1)
-        cell = u.astype(np.intp)  # floor, since u >= 0
-        return np.where(u < upper[cell], cell, alias[cell])
-
-    return _TypeSampler(tail, c.holds_for_counts(types).take, (types @ values).take)
+    cell_heads = np.add.outer(np.arange(m + 1), np.arange(n - m + 1))
+    return c.holds_for_counts(types)[cell_heads], (types @ c.function.table[:, 0])[cell_heads]
 
 
-def _draw_window_batch(
-    rng: np.random.Generator, law: Distribution, m: int, rows: int, tail: _Draw
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-m symbols and whole-sequence types for one chunk: the types from
-    ``tail`` plus the first m symbols.  On two symbols a symbol is
-    ``u >= p0``, equal bit for bit to ``searchsorted`` on the cumulative
-    masses [p0, 1.0], and adds to the head count."""
-    u = rng.random((rows, m))
-    types = tail(rng, rows)
-    if law.alphabet.size == 2:
-        first = u >= law.masses[0]
-        for column in first.T:
-            types += column
-        return first, types
+def _histogram_sums(
+    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: float, logz: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Two symbols: the proposals' cell counts, one multinomial draw.  An
+    accepted cell's count is split over the C(m, a) words with a heads by a
+    multinomial, in row blocks of at most ``_CHUNK_CELLS`` cells."""
+    counts = rng.multinomial(samples, _cell_law(law, n, m).ravel())
+    holds, sums = _cell_table(c, n, m)
+    counts *= holds.ravel()
+    cells = np.flatnonzero(counts)
+    weights = _weights(sums.ravel()[cells], lam, logz, n)
+    first_heads = cells // (n - m + 1)
+    word_heads = sum((np.arange(2**m) >> bit) & 1 for bit in range(m))
+    mass, mass_sq = np.zeros(2**m), np.zeros(2**m)
+    for a in range(m + 1):
+        words = np.flatnonzero(word_heads == a)
+        rows = np.flatnonzero(first_heads == a)
+        for block in np.array_split(rows, max(1, -(-rows.size * words.size // _CHUNK_CELLS))):
+            split = rng.multinomial(counts[cells[block]], np.full(words.size, 1.0 / words.size))
+            mass[words] += weights[block] @ split
+            mass_sq[words] += weights[block] ** 2 @ split
+    return mass, mass_sq, int(counts.sum())
+
+
+def _proposal_sums(
+    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: float, logz: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """More symbols: each proposal draws its first m symbols and the symbol
+    counts of the other n - m, one multinomial draw, in chunks of at most
+    ``_CHUNK_CELLS`` cells of m + k each; its type is the counts plus the
+    first m symbols'."""
+    k = law.alphabet.size
     cum = np.cumsum(law.masses)
     cum[-1] = 1.0
-    first = np.searchsorted(cum, u, side="right")
-    for symbol, tally in enumerate(types.T):  # each tally is a view into types
-        for column in first.T:
-            tally += column == symbol
-    return first, types
+    chunk_rows = max(1, _CHUNK_CELLS // (m + k))
+    kept_words, kept_sums = [], []
+    for start in range(0, samples, chunk_rows):
+        rows = min(chunk_rows, samples - start)
+        first = np.searchsorted(cum, rng.random((rows, m)), side="right")
+        types = rng.multinomial(n - m, law.masses, size=rows)  # zero trials use no draws
+        for symbol, tally in enumerate(types.T):  # each tally is a view into types
+            for column in first.T:
+                tally += column == symbol
+        keep = c.holds_for_counts(types)
+        kept_words.append(word_index(first[keep], k, m))
+        kept_sums.append(types[keep] @ c.function.table[:, 0])
+    word_idx = np.concatenate(kept_words)
+    weights = _weights(np.concatenate(kept_sums), lam, logz, n)
+    mass = np.bincount(word_idx, weights=weights, minlength=k**m)
+    weights **= 2
+    return mass, np.bincount(word_idx, weights=weights, minlength=k**m), word_idx.size
+
+
+class _Draws(NamedTuple):
+    """The accepted draws summed per first-m word, in the word order of
+    :class:`BlockLaw`: ``mass`` adds their self-normalized weights and
+    ``mass_sq`` the squares of those weights."""
+
+    mass: np.ndarray
+    mass_sq: np.ndarray
+    accepted: int
+    ess: float
 
 
 def _conditioned_draws(
@@ -258,9 +265,8 @@ def _conditioned_draws(
     method: str,
     seed: int,
     stream_index: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Accepted draws in proposal order: encoded first-m words, their
-    self-normalized weights and the weights' effective sample size."""
+) -> _Draws:
+    """The accepted draws of ``samples`` proposals, summed per first-m word."""
     if p.alphabet != c.function.alphabet:
         raise ValueError("constraint and baseline live on different alphabets")
     if not p.strictly_positive:
@@ -283,52 +289,24 @@ def _conditioned_draws(
         logz = solution.log_partition
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
-    chunk_rows = min(samples, max(1, _CHUNK_CELLS // max(n, 1)))
-    sampler = _type_sampler(proposal, c, n, m)
-    kept_words: list[np.ndarray] = []
-    kept_sums: list[np.ndarray] = []
-    remaining = samples
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        remaining -= rows
-        first, types = _draw_window_batch(rng, proposal, m, rows, sampler.tail)
-        keep = sampler.holds(types)
-        if keep.any():
-            kept_words.append(word_index(first[keep], p.alphabet.size, m))
-            if method != "rejection":  # only the importance weights read the statistic
-                kept_sums.append(sampler.statistic(types[keep]))
-
-    del first, types, keep  # release the last chunk before the accepted draws are joined
-    if not kept_words:
+    sums = _histogram_sums if p.alphabet.size == 2 else _proposal_sums
+    mass, mass_sq, accepted = sums(rng, proposal, c, n, m, samples, lam, logz)
+    if accepted == 0:
         raise LowEffectiveSampleError(
             f"0 of {samples} proposals landed in ({lo}, {hi}); "
             "try the tilt-importance method or a wider window"
         )
-    word_idx = np.concatenate(kept_words)
-    del kept_words  # release the chunk copies before the weights are built
-    if method == "rejection":
-        weights = np.full(word_idx.size, 1.0 / word_idx.size)
-    else:
-        sums = np.concatenate(kept_sums)
-        del kept_sums
-        # Inverse likelihood ratio of the whole sequence, self-normalized.
-        log_w = -lam * sums + n * logz
-        log_w -= log_w.max()
-        weights = np.exp(np.maximum(log_w, -700.0))
-        weights /= weights.sum()
-    ess = 1.0 / float((weights**2).sum())
+    total = mass.sum()
+    mass /= total
+    mass_sq /= total**2
+    ess = float(accepted) if method == "rejection" else 1.0 / float(mass_sq.sum())
     if ess < MIN_ESS:
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} < {MIN_ESS:.0f} at n = {n}; "
             "increase samples or lower n (whole-sequence importance weights "
             "thin out as n grows)"
         )
-    return word_idx, weights, ess
-
-
-def _law_from(word_idx: np.ndarray, weights: np.ndarray, alphabet: Alphabet, m: int) -> BlockLaw:
-    mass = np.bincount(word_idx, weights=weights, minlength=alphabet.size**m)
-    return BlockLaw(alphabet, m, mass / mass.sum())
+    return _Draws(mass, mass_sq, accepted, ess)
 
 
 def sample_conditional_blocks(
@@ -349,18 +327,17 @@ def sample_conditional_blocks(
     and :class:`LowEffectiveSampleError` when the effective sample size is
     below 50, nothing landing in the window included.
     """
-    word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
-    block = _law_from(word_idx, weights, p.alphabet, m)
-    sq_total = 1.0 / ess  # the sum of squared weights
-    w_sq = np.bincount(word_idx, weights=weights**2, minlength=block.masses.size)
+    draws = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
+    block = BlockLaw(p.alphabet, m, draws.mass)
+    w_sq, sq_total = draws.mass_sq, draws.mass_sq.sum()
     # Weighted Bessel-corrected sampling variance of each indicator mean;
     # reduces to var(indicator, ddof=1)/accepted for equal weights.
     variances = (w_sq * (1.0 - block.masses) ** 2 + (sq_total - w_sq) * block.masses**2) / (1.0 - sq_total)
     return McEstimate(
         block=block,
         std_errors=np.sqrt(np.maximum(variances, 0.0)),
-        accepted=int(word_idx.size),
-        ess=ess,
+        accepted=draws.accepted,
+        ess=draws.ess,
     )
 
 
@@ -393,21 +370,19 @@ def window_sweep(
     for i, n in enumerate(n_grid):
         eps = schedule.epsilon(n)
         c = MomentConstraint(h, "equality", [alpha], epsilon=eps)
-        word_idx, weights, ess = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i)
-        block = _law_from(word_idx, weights, p.alphabet, m)
+        draws = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i)
+        block = BlockLaw(p.alphabet, m, draws.mass)
         tv = tv_distance(block, product)
         g = 0.5 * np.sign(block.masses - product.masses)
-        weights **= 2  # in place: nothing reads the weights again, and they can fill 8 MB
-        w_sq = np.bincount(word_idx, weights=weights, minlength=g.size)
-        se = math.sqrt(w_sq @ (g - g @ block.masses) ** 2)
+        se = math.sqrt(draws.mass_sq @ (g - g @ block.masses) ** 2)
         points.append(
             WindowSweepPoint(
                 n=n,
                 epsilon=float(eps),
                 tv_estimate=float(tv),
                 std_error=se,
-                acceptance_rate=word_idx.size / samples,
-                ess=ess,
+                acceptance_rate=draws.accepted / samples,
+                ess=draws.ess,
                 method=method,
                 seed=seed,
             )

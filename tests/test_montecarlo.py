@@ -15,7 +15,6 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
-from tiltlab.rng import stream
 from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError, product_block_law, tv_distance, word_index
 from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
 
@@ -130,21 +129,22 @@ def test_sampler_words_keep_the_block_law_word_order(monkeypatch):
     # order than BlockLaw's swaps their masses; an exchangeable law, being
     # symmetric, would not show it.
     die3 = Distribution.uniform(Alphabet.of_size(3))
-    rows = np.array([(0, 2), (0, 2), (0, 2), (2, 0)])
+    words = np.array([(0, 2), (0, 2), (0, 2), (2, 0)])
 
-    def fixed_batch(rng, law, m, count, tail_counts):
-        return np.resize(rows, (count, 2)), np.tile([0, 10, 0], (count, 1))  # mean 2
+    class FixedStream:  # every tail is all middle symbols, so every mean is 2
+        def random(self, shape):
+            return (np.resize(words, shape) + 0.5) / 3
 
-    monkeypatch.setattr(montecarlo, "_draw_window_batch", fixed_batch)
+        def multinomial(self, trials, pvals, size):
+            return np.tile([0, trials, 0], (size, 1))
+
+    monkeypatch.setattr(montecarlo, "stream", lambda seed, stream_id: FixedStream())
     c = window(2.0, 0.5, MomentFunction.from_labels(die3.alphabet))
     est = sample_conditional_blocks(die3, c, 10, 2, 4000, "rejection")
-    word_idx, weights, _ = montecarlo._conditioned_draws(die3, c, 10, 2, 4000, "rejection", 0, 0)
-    swept = montecarlo._law_from(word_idx, weights, die3.alphabet, 2)
     expected = {(0, 2): 0.75, (2, 0): 0.25}
     for word in itertools.product(range(3), repeat=2):
         mass = pytest.approx(expected.get(word, 0.0), abs=1e-12)
         assert est.block.mass(word) == mass
-        assert swept.mass(word) == mass
         assert est.estimate_for(word)[0] == mass
 
 
@@ -166,25 +166,20 @@ def test_unwindowed_constraint_is_refused(kind, target):
 
 
 class WordStream:
-    """Stands in for the generator of ``_draw_window_batch`` on a uniform law
-    and for its tail draw: its uniforms pick the first m symbols of each
-    word, and ``tail_types`` returns the type of the rest, its symbol counts
-    or on two symbols its head count."""
+    """Stands in for the generator of the per-proposal path on a uniform
+    law: its uniforms pick the first m symbols of each word, and its
+    multinomial draw gives the symbol counts of the rest."""
 
     def __init__(self, words: np.ndarray, m: int, k: int):
         self.words, self.m, self.k = words, m, k
 
     def random(self, shape):
+        assert shape == (len(self.words), self.m)
         return (self.words[:, : self.m] + 0.5) / self.k
 
-    def tail_types(self, rng, rows):
-        assert rng is self and rows == len(self.words)
-        return type_keys((self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1))
-
-
-def type_keys(counts: np.ndarray) -> np.ndarray:
-    """The sampler's types of count rows: the head counts on two symbols."""
-    return counts[:, 1] if counts.shape[1] == 2 else counts
+    def multinomial(self, trials, pvals, size):
+        assert trials == self.words.shape[1] - self.m and size == len(self.words)
+        return (self.words[:, self.m :, None] == np.arange(self.k)).sum(axis=1)
 
 
 @st.composite
@@ -220,12 +215,14 @@ FALSIFYING_EVENT = (MomentFunction(Alphabet.of_size(3), [0.0, -0.4, 0.3]), 7, -0
 @example(FALSIFYING_EVENT)
 def test_sampler_and_oracle_condition_on_the_same_event(event):
     # Every type of size n is written as one randomly ordered word, and the
-    # words, in random order, go through the sampler's batch draw.  It must
-    # return the types (count rows, or head counts on two symbols), and the
-    # verdict on each must be the oracle's, whatever the order of the words
-    # and of their symbols.  The verdicts on two symbols come from a table
-    # over the head counts, which must equal the oracle's on every row, as
-    # the tabulated sums of h must equal each row's own.
+    # words, in random order, are the proposals of the per-proposal path.
+    # It must keep the words of the types that the oracle keeps, whatever
+    # the order of the words and of their symbols, and weigh each by its
+    # type's own sum of h: a small multiplier keeps every weight near 1, so
+    # a wrong sum moves a word's mass far beyond rounding.  On two symbols
+    # the verdict and sum of h of each word's cell (a, t) must be its
+    # type's.  The block length is capped so that the k^m word table stays
+    # small.
     h, n, lo, hi, m, seed = event
     table = h.table[:, 0]
     target, epsilon = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -233,123 +230,104 @@ def test_sampler_and_oracle_condition_on_the_same_event(event):
     c = MomentConstraint(h, "equality", [target], epsilon=epsilon)
 
     k = h.alphabet.size
+    m = min(m, 12 // (k - 1))
     counts = np.concatenate(list(enumerate_types(k, n)))
     rng = np.random.default_rng(seed)
     sorted_words = np.repeat(np.tile(np.arange(k), len(counts)), counts.ravel()).reshape(len(counts), n)
-    words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)
     order = rng.permutation(len(counts))
-    words_in = WordStream(words[order], m, k)
-    law = Distribution.uniform(h.alphabet)
-    first, types = montecarlo._draw_window_batch(words_in, law, m, len(counts), words_in.tail_types)
-    sampler = montecarlo._type_sampler(law, c, n, m)
-    assert np.array_equal(first, words[order, :m])
-    assert np.array_equal(types, type_keys(counts[order]))
-    assert np.array_equal(sampler.holds(types), c.holds_for_counts(counts)[order])
-    assert np.array_equal(sampler.holds(type_keys(counts)), c.holds_for_counts(counts))
-    assert np.array_equal(sampler.statistic(type_keys(counts)), counts @ table)
+    words = np.take_along_axis(sorted_words, rng.random(sorted_words.shape).argsort(axis=1), axis=1)[order]
+    holds, sums = c.holds_for_counts(counts)[order], (counts @ table)[order]
+
+    law, lam = Distribution.uniform(h.alphabet), 1e-3
+    mass, mass_sq, accepted = montecarlo._proposal_sums(WordStream(words, m, k), law, c, n, m, len(words), lam, 0.0)
+    weights = montecarlo._weights(sums[holds], lam, 0.0, n)
+    first = word_index(words[holds, :m], k, m)
+    assert accepted == holds.sum()
+    np.testing.assert_allclose(mass, np.bincount(first, weights=weights, minlength=k**m), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mass_sq, np.bincount(first, weights=weights**2, minlength=k**m), rtol=1e-12, atol=0)
+    if k == 2:
+        cell_holds, cell_sums = montecarlo._cell_table(c, n, m)
+        cell = words[:, :m].sum(axis=1), words[:, m:].sum(axis=1)
+        assert np.array_equal(cell_holds[cell], holds)
+        assert np.array_equal(cell_sums[cell], sums)
+
+
+# (p0, p1) laws; in the last one the head mass rounds to 1, so 1 - p1 is 0
+# and only p0 gives the odds.
+BINOMIAL_LAWS = [(1 - p1, p1) for p1 in (0.5, 0.75, 0.1, 1e-3)] + [(1e-17, 1.0)]
+
+
+def binomial(trials: int, p0: float, p1: float) -> list[float]:
+    return [math.comb(trials, j) * p1**j * p0 ** (trials - j) for j in range(trials + 1)]
 
 
 @pytest.mark.parametrize("trials", [0, 1, 24, 99, 149, 1000])
-def test_binomial_alias_table_holds_the_binomial_law(trials):
-    # Value j's mass is its own cell's kept share plus the shares given away
-    # by the cells aliased to j, over the trials + 1 cells.  In the last law
-    # the head mass rounds to 1, so 1 - p1 is 0 and only p0 gives the odds.
-    for p0, p1 in [(1 - p1, p1) for p1 in (0.5, 0.75, 0.1, 1e-3)] + [(1e-17, 1.0)]:
-        prob, alias = montecarlo._binomial_alias(trials, p0, p1)
-        assert np.all((prob >= 0) & (prob <= 1))
-        mass = prob.copy()
-        np.add.at(mass, alias, 1.0 - prob)
-        mass /= trials + 1
-        exact = [math.comb(trials, j) * p1**j * p0 ** (trials - j) for j in range(trials + 1)]
-        np.testing.assert_allclose(mass, exact, rtol=0, atol=1e-13)
+def test_binomial_pmf_holds_the_binomial_law(trials):
+    for p0, p1 in BINOMIAL_LAWS:
+        pmf = montecarlo._binomial_pmf(trials, p0, p1)
+        np.testing.assert_allclose(pmf, binomial(trials, p0, p1), rtol=0, atol=1e-13)
 
 
-def test_two_symbol_tail_draw_matches_the_multinomial():
-    # 2e5 rows of each draw over 25 head counts: the two histograms lie
-    # about 0.004 apart in TV when both draws have the same law.
-    law, rows = Distribution.bernoulli(0.3), 200_000
-    heads = montecarlo._type_sampler(law, window(0.5, 0.25), 25, 1).tail(np.random.default_rng(0), rows)
-    assert heads.shape == (rows,)
-    assert np.all((heads >= 0) & (heads <= 24))
-    multinomial = np.random.default_rng(1).multinomial(24, law.masses, size=rows)
-    gap = np.bincount(heads, minlength=25) - np.bincount(multinomial[:, 1], minlength=25)
-    assert 0.5 * np.abs(gap).sum() / rows < 0.01
-
-
-def test_two_symbol_tail_draw_reads_one_uniform_per_row():
-    # Each head count is its uniform's cell or that cell's alias, and a
-    # shorter second chunk reads the stream where the first left it.
-    prob, alias = montecarlo._binomial_alias(99, 0.25, 0.75)
-    draw = montecarlo._type_sampler(Distribution.bernoulli(0.75), window(0.5, 0.25), 100, 1).tail
-    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-    for rows in (1000, 300):
-        drawn = draw(rng, rows)
-        x = twin.random(rows) * 100
-        cell = x.astype(int)
-        assert np.array_equal(drawn, np.where(x < cell + prob[cell], cell, alias[cell]))
-
-
-def count_row_draws(p, c, n, m, samples, method, seed, stream_index):
-    """The two-symbol sampler written as a loop over count rows: each
-    proposal's first m symbols by ``searchsorted``, its full row of symbol
-    tallies and its own ``holds_for_counts`` verdict and sum of h.  It reads
-    the same uniforms as ``_conditioned_draws`` and returns the same values."""
-    if method == "rejection":
-        proposal, lam, logz = p, 0.0, 0.0
-    else:
-        solution = i_project(p, c)
-        proposal, lam, logz = solution.tilted, float(solution.multiplier[0]), solution.log_partition
-    rng = stream(seed, montecarlo._METHOD_STREAM[method] + 2 * stream_index)
-    chunk_rows = min(samples, max(1, montecarlo._CHUNK_CELLS // n))
-    prob, alias = montecarlo._binomial_alias(n - m, *proposal.masses.tolist())
-    cum = np.cumsum(proposal.masses)
-    cum[-1] = 1.0
-    words, sums = [], []
-    for start in range(0, samples, chunk_rows):
-        rows = min(chunk_rows, samples - start)
-        first = np.searchsorted(cum, rng.random((rows, m)), side="right")
-        x = rng.random(rows) * (n - m + 1)
-        cell = x.astype(np.intp)
-        heads = np.where(x < cell + prob[cell], cell, alias[cell])
-        counts = np.stack([n - m - heads, heads], axis=1)
-        for symbol, tally in enumerate(counts.T):
-            for column in first.T:
-                tally += column == symbol
-        keep = c.holds_for_counts(counts)
-        words.append(word_index(first[keep], 2, m))
-        sums.append(counts[keep] @ c.function.table[:, 0])
-    word_idx, sums = np.concatenate(words), np.concatenate(sums)
-    if method == "rejection":
-        weights = np.full(word_idx.size, 1.0 / word_idx.size)
-    else:
-        log_w = -lam * sums + n * logz
-        log_w -= log_w.max()
-        weights = np.exp(np.maximum(log_w, -700.0))
-        weights /= weights.sum()
-    return word_idx, weights, 1.0 / float((weights**2).sum())
-
-
-# Both ends of the first window are lattice means at n = 13 (4 and 9 heads),
-# so rows sit on its open ends, where the tolerance of `holds` decides.
-LATTICE_ENDS = (-0.3 + 4 / 13, -0.3 + 9 / 13)
+@pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (25, 1), (150, 1), (40, 3), (300, 7)])
+def test_cell_law_is_the_product_of_two_binomials(n, m):
+    # Cell (a, t) holds a heads among the first m symbols and t among the
+    # other n - m; at n = m the tail has no trials.
+    for p0, p1 in BINOMIAL_LAWS:
+        cell_law = montecarlo._cell_law(Distribution(COIN.alphabet, [p0, p1]), n, m)
+        exact = np.outer(binomial(m, p0, p1), binomial(n - m, p0, p1))
+        np.testing.assert_allclose(cell_law, exact, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
-@pytest.mark.parametrize(
-    "m, n, ends", [(1, 13, LATTICE_ENDS), (2, 13, LATTICE_ENDS), (3, 13, (0.0, 0.5)), (2, 2, (0.0, 0.5)), (3, 3, (0.0, 0.5))]
-)
-def test_head_count_draws_equal_the_count_row_loop(monkeypatch, method, m, n, ends):
-    # Chunks of 3000 // n rows leave a shorter last chunk of the 2500
-    # proposals, and n = m draws no tail symbol.  At n = m = 1 no mean lies
-    # strictly inside the value range, so no window has an accepted draw.
-    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 3000)
+@pytest.mark.parametrize("m, n, ends", [(1, 10, (0.1, 0.5)), (2, 10, (0.1, 0.5)), (3, 10, (0.15, 0.45)), (2, 2, (0.1, 0.5)), (3, 3, (0.1, 0.5))])
+def test_cell_law_gives_the_enumerated_accepted_mass(method, m, n, ends):
+    # Each first-m word's expected accepted mass per proposal, from the cell
+    # law split evenly over the C(m, a) words with a heads and weighted by
+    # exp(-lam*S + n*M(lam)), is the baseline probability of the sequences
+    # that start with that word and meet the window, summed over all 2^n
+    # sequences.  At n = 10 both ends of the window (0.1, 0.5) are lattice
+    # means (4 and 8 heads), where the tolerance of `holds` decides.
     law = Distribution.bernoulli(0.3)
     c = window(0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0]), MomentFunction(law.alphabet, [-0.3, 0.7]))
-    got = montecarlo._conditioned_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
-    want = count_row_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
+    proposal, lam, logz = law, 0.0, 0.0
+    if method == "tilt-importance":
+        solution = i_project(law, c)
+        proposal, lam, logz = solution.tilted, float(solution.multiplier[0]), solution.log_partition
+    cell_holds, cell_sums = montecarlo._cell_table(c, n, m)
+    cell_mass = montecarlo._cell_law(proposal, n, m) * cell_holds * np.exp(-lam * cell_sums + n * logz)
+    word_heads = np.array([sum(word) for word in itertools.product(range(2), repeat=m)])
+    per_word = (cell_mass.sum(axis=1) / [math.comb(m, a) for a in range(m + 1)])[word_heads]
+
+    sequences = np.array(list(itertools.product(range(2), repeat=n)))
+    counts = np.stack([n - sequences.sum(axis=1), sequences.sum(axis=1)], axis=1)
+    probability = law.masses[sequences].prod(axis=1) * c.holds_for_counts(counts)
+    enumerated = np.bincount(word_index(sequences[:, :m], 2, m), weights=probability, minlength=2**m)
+    np.testing.assert_allclose(per_word, enumerated, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
+def test_histogram_draw_matches_the_exact_block_law(method):
+    # Every one of the 8 words of m = 3 carries at least 3% of the
+    # conditional law, so a word split that misplaced or skewed the counts
+    # of a cell would leave some word many standard errors off the oracle.
+    law = Distribution.bernoulli(0.3)
+    c = window(0.3, 0.15, MomentFunction(law.alphabet, [-0.3, 0.7]))
+    est = sample_conditional_blocks(law, c, 10, 3, 2 * 10**5, method, seed=0)
+    exact = conditional_block_law(law, c, 10, 3)
+    assert exact.masses.min() > 0.03
+    assert np.all(np.abs(est.block.masses - exact.masses) <= 4 * est.std_errors)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rejection_ess_is_the_accepted_count(k):
+    # At these accepted counts (26,060 and 22,054) the squared weights
+    # 1/A^2, summed one by one or per word, do not add up to 1/A exactly,
+    # so the reciprocal of either sum would miss A by an ulp.
+    law = Distribution.uniform(Alphabet.of_size(k))
+    h = MomentFunction.from_labels(law.alphabet)
+    center = float(h.table[:, 0].mean())
+    est = sample_conditional_blocks(law, window(center + 0.1, 0.2, h), 40, 2, 30_011, "rejection", seed=6)
+    assert est.ess == float(est.accepted)
 
 
 # -------------------------------------------------------------------- sweeps
