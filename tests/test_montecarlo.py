@@ -15,6 +15,7 @@ from tiltlab.montecarlo import (
     sample_conditional_blocks,
     window_sweep,
 )
+from tiltlab.rng import stream
 from tiltlab.simplex import Alphabet, Distribution, EnumerationCapError, product_block_law, tv_distance, word_index
 from tiltlab.tilting import InfeasibleConstraintError, MomentConstraint, MomentFunction, i_project
 
@@ -303,6 +304,64 @@ def test_cell_law_gives_the_enumerated_accepted_mass(method, m, n, ends):
     probability = law.masses[sequences].prod(axis=1) * c.holds_for_counts(counts)
     enumerated = np.bincount(word_index(sequences[:, :m], 2, m), weights=probability, minlength=2**m)
     np.testing.assert_allclose(per_word, enumerated, rtol=0, atol=1e-12)
+
+
+def count_row_draws(p, c, n, m, samples, method, seed, stream_index):
+    """The two-symbol sampler written as a loop over count rows: one
+    multinomial draw of the cell histogram, then for each cell (a, t) its own
+    row of symbol tallies (n - a - t, a + t), its own ``holds_for_counts``
+    verdict and sum of h, and its own multinomial split over the words with
+    a heads.  It reads the same stream as ``_conditioned_draws`` and returns
+    the same per-word sums."""
+    if method == "rejection":
+        proposal, lam, logz = p, 0.0, 0.0
+    else:
+        solution = i_project(p, c)
+        proposal, lam, logz = solution.tilted, float(solution.multiplier[0]), solution.log_partition
+    rng = stream(seed, montecarlo._METHOD_STREAM[method] + 2 * stream_index)
+    counts = rng.multinomial(samples, montecarlo._cell_law(proposal, n, m).ravel()).reshape(m + 1, n - m + 1)
+    words = [[word_index(w, 2, m) for w in itertools.product(range(2), repeat=m) if sum(w) == a] for a in range(m + 1)]
+    kept = []
+    for a in range(m + 1):
+        for t in range(n - m + 1):
+            row = np.array([[n - a - t, a + t]])
+            if counts[a, t] > 0 and c.holds_for_counts(row)[0]:
+                kept.append((a, int(counts[a, t]), -lam * float(row[0] @ c.function.table[:, 0]) + n * logz))
+    top = max((log_w for _, _, log_w in kept), default=0.0)
+    mass, mass_sq = np.zeros(2**m), np.zeros(2**m)
+    for a, count, log_w in kept:
+        weight = math.exp(max(log_w - top, -700.0))
+        split = rng.multinomial(count, np.full(len(words[a]), 1.0 / len(words[a])))
+        mass[words[a]] += weight * split
+        mass_sq[words[a]] += weight**2 * split
+    total = mass.sum()
+    return mass / total, mass_sq / total**2, sum(count for _, count, _ in kept)
+
+
+# Both ends of the first window are lattice means at n = 13 (4 and 9 heads),
+# so rows sit on its open ends, where the tolerance of `holds` decides.
+LATTICE_ENDS = (-0.3 + 4 / 13, -0.3 + 9 / 13)
+
+
+@pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
+@pytest.mark.parametrize(
+    "m, n, ends", [(1, 13, LATTICE_ENDS), (2, 13, LATTICE_ENDS), (3, 13, (0.0, 0.5)), (2, 2, (0.0, 0.5)), (3, 3, (0.0, 0.5))]
+)
+def test_head_count_draws_equal_the_count_row_loop(monkeypatch, method, m, n, ends):
+    # The word split runs in blocks of at most 4 cells, so several blocks
+    # read the stream one after another; n = m leaves the tail no trials.
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 4)
+    law = Distribution.bernoulli(0.3)
+    c = window(0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0]), MomentFunction(law.alphabet, [-0.3, 0.7]))
+    got = montecarlo._conditioned_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
+    mass, mass_sq, accepted = count_row_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
+    assert got.accepted == accepted
+    np.testing.assert_allclose(got.mass, mass, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.mass_sq, mass_sq, rtol=1e-12, atol=0)
+    if method == "rejection":
+        assert got.ess == float(accepted)
+    else:
+        assert got.ess == pytest.approx(1.0 / mass_sq.sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
