@@ -13,7 +13,9 @@ Two checks connect this to the discrete tilting machinery:
 * conditioning a long sequence on its empirical mean and variance lying in
   small windows around (m, v) drives the pooled law of leading coordinates
   to N(m, v) -- the two-moment analogue of window conditioning on finite
-  alphabets, measured with a Kolmogorov-Smirnov distance.
+  alphabets, measured with a Kolmogorov-Smirnov distance.  Given its mean and
+  variance a sequence is uniform on a sphere, whatever the mixing law, so
+  only accepted sequences get leading coordinates drawn.
 """
 
 from __future__ import annotations
@@ -223,22 +225,31 @@ def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
     return float(np.maximum((rows + 1.0) / size - cdf, cdf - rows / size).max(initial=best))
 
 
-def _draw_tile(g: MixingLaw, n: int, block: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """One tile of :func:`_accepted_blocks`' draws: the first ``block`` coordinates
-    of ``rows`` sequences, and each one's empirical mean and (1/n) variance."""
-    rest = n - block
-    means, variances = g.draw_latents(rng, rows)
-    scales = np.sqrt(variances)
-    lead = means[:, None] + scales[:, None] * rng.standard_normal((rows, block))
-    total = lead.sum(axis=1)
-    squares = np.square(lead - total[:, None] / block).sum(axis=1)
+def _row_statistics(g: MixingLaw, n: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of :func:`_accepted_blocks`: the mean and (1/n) variance of ``rows`` sequences."""
+    means, variances, weights = np.array(g.atoms).T
+    counts = rng.multinomial(rows, weights / weights.sum())
+    means, variances = np.repeat(means, counts), np.repeat(variances, counts) / n
+    return means + np.sqrt(variances) * rng.standard_normal(rows), variances * rng.chisquare(n - 1, rows)
+
+
+def _sphere_blocks(mean: np.ndarray, var: np.ndarray, n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Stage 2 of :func:`_accepted_blocks`: fill ``out`` with the first coordinates given each row's statistics."""
+    block, rest = out.shape[1], n - out.shape[1]
+    z = rng.standard_normal(out=out)
+    total = np.einsum("ij->i", z)
+    deviations = z - (total / block)[:, None]
+    squares = np.einsum("ij,ij->i", deviations, deviations)
     if rest:
-        tail = rest * means + math.sqrt(rest) * scales * rng.standard_normal(rows)
+        tail = math.sqrt(rest) * rng.standard_normal(len(z))
         if rest >= 2:
-            squares += variances * rng.chisquare(rest - 1, rows)
+            squares += rng.chisquare(rest - 1, len(z))
         squares += (block * rest / n) * np.square(total / block - tail / rest)
         total += tail
-    return lead, total / n, squares / n
+    scale = np.sqrt(n * var / squares)
+    z *= scale[:, None]
+    z += (mean - scale * total / n)[:, None]
+    return z
 
 
 def _accepted_blocks(
@@ -254,23 +265,30 @@ def _accepted_blocks(
     coordinates of those whose empirical mean and variance lie in the open
     windows, one row per accepted sequence in draw order.
 
-    Given the latent pair (M, V), the other r = n - block coordinates enter
-    the two statistics only through their sum, N(rM, rV), and their own sum of
-    squared deviations, V chi^2_{r-1}, independent of each other and of the
-    block by Cochran's theorem, so only these are drawn.  Each tile of rows
-    draws, in order: the latent pairs, the block's normals row by row, one
-    normal per row for the tail sum and, if r >= 2, one chi-square per row for
-    its sum of squares.  The sums of squares pool as
-    SS_block + SS_tail + (block r / n) (mean_block - mean_tail)^2.
+    Given the latent pair (M, V), the mean and (1/n) variance are independent,
+    N(M, V/n) and (V/n) chi^2_{n-1}, and given both the sequence is
+    mean + sqrt(n variance) U with U uniform on the unit sphere of the sum-zero
+    hyperplane, whatever the mixing law.  So stage 1 draws, tile by tile, the
+    atom counts (one multinomial; rows come grouped by atom), then one normal
+    and one chi-square per row.  Stage 2 then draws U for the accepted rows
+    only, tile by tile, as Z - mean(Z) normalised for a standard normal Z: the
+    block's normals (row-major), one tail-sum normal N(0, r) per row and, if
+    r = n - block >= 2, one tail chi^2_{r-1} per row, pooled by Cochran's
+    theorem as SS_block + SS_tail + (block r / n) (mean_block - mean_tail)^2.
     """
     target_mean, target_var = targets
     tile_rows = max(1, _TILE_CELLS // (block + 1))
-    collected = [np.empty((0, block))]
+    kept = []
     for start in range(0, samples, tile_rows):
-        lead, emp_mean, emp_var = _draw_tile(g, n, block, min(tile_rows, samples - start), rng)
+        emp_mean, emp_var = _row_statistics(g, n, min(tile_rows, samples - start), rng)
         keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
-        collected.append(lead[keep])
-    return np.concatenate(collected)
+        kept.append((emp_mean[keep], emp_var[keep]))
+    emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
+    lead = np.empty((emp_mean.size, block))
+    for start in range(0, emp_mean.size, tile_rows):
+        rows = slice(start, start + tile_rows)
+        _sphere_blocks(emp_mean[rows], emp_var[rows], n, rng, lead[rows])
+    return lead
 
 
 def condition_two_moments(

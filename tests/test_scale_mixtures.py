@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from tiltlab.rng import stream
 from tiltlab.scale_mixtures import (
     MixingLaw,
     _accepted_blocks,
-    _draw_tile,
     _ks_normal,
+    _row_statistics,
+    _sphere_blocks,
     condition_two_moments,
     empirical_limits,
     radial_cf_check,
@@ -139,19 +141,29 @@ def _full_draw_sample(g, targets, epsilon, n, block, samples, rng, chunk_rows=10
 
 def _tiled_sample(g, targets, epsilon, n, block, samples, seed):
     """The library sampler's accepted rows with their statistics, checked
-    to be the rows that ``_accepted_blocks`` returns for the same stream."""
+    to be the rows that ``_accepted_blocks`` returns for the same stream:
+    stage 1 over every tile of proposals, then stage 2 over tiles of the
+    accepted rows, each tile at most ``_TILE_CELLS // (block + 1)`` rows."""
     target_mean, target_var = targets
     rng = stream(seed, scale_mixtures._STREAM_CONDITION)
     tile_rows = max(1, scale_mixtures._TILE_CELLS // (block + 1))
     kept = []
     for start in range(0, samples, tile_rows):
-        lead, emp_mean, emp_var = _draw_tile(g, n, block, min(tile_rows, samples - start), rng)
+        emp_mean, emp_var = _row_statistics(g, n, min(tile_rows, samples - start), rng)
         keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
-        kept.append((lead[keep], emp_mean[keep], emp_var[keep]))
-    lead, emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
+        kept.append((emp_mean[keep], emp_var[keep]))
+    emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
+    lead = np.empty((emp_mean.size, block))
+    for start in range(0, emp_mean.size, tile_rows):
+        rows = slice(start, start + tile_rows)
+        _sphere_blocks(emp_mean[rows], emp_var[rows], n, rng, lead[rows])
     rng = stream(seed, scale_mixtures._STREAM_CONDITION)
     assert np.array_equal(_accepted_blocks(g, targets, epsilon, n, block, samples, rng), lead)
     return lead, emp_mean, emp_var
+
+
+# an atom of weight 0, far from the others: no row may come from it
+ZERO_WEIGHT_ATOM = MixingLaw.discrete([(0.0, 1.0, 0.5), (50.0, 9.0, 0.0), (0.0, 4.0, 0.5)])
 
 
 @pytest.mark.parametrize(
@@ -165,6 +177,10 @@ def _tiled_sample(g, targets, epsilon, n, block, samples, seed):
         (MixingLaw.discrete([(0.1, 1.0, 0.5), (-0.1, 4.0, 0.5)]), (0.0, 1.5), 0.3, 40, 4),
         # a one-coordinate tail (no chi-square draw), every row accepted
         (TWO_ATOM, (0.0, 1.0), ACCEPT_ALL, 12, 11),
+        # the whole sequence is the block, a weight-0 atom, and the shortest sequences
+        (ZERO_WEIGHT_ATOM, (0.0, 1.0), ACCEPT_ALL, 10, 10),
+        (TWO_ATOM, (0.0, 1.0), 0.5, 2, 1),
+        (TWO_ATOM, (0.0, 1.0), 0.5, 2, 2),
     ],
 )
 def test_sufficient_statistic_sampler_matches_full_draws_in_law(mixing, targets, epsilon, n, block):
@@ -175,9 +191,41 @@ def test_sufficient_statistic_sampler_matches_full_draws_in_law(mixing, targets,
     assert accepted.min() >= 2000
     rate = accepted.sum() / (2 * samples)
     assert abs(accepted[0] - accepted[1]) <= 4 * math.sqrt(2 * samples * rate * (1 - rate)) + 1
-    # the leading coordinate, the row mean and the row variance of accepted rows
-    for new_values, ref_values in [(new[0][:, 0], ref[0][:, 0]), (new[1], ref[1]), (new[2], ref[2])]:
+    # the leading coordinate, the row mean and the row variance of accepted rows,
+    # the last block coordinate and the product of the first two
+    pairs = [(new[0][:, 0], ref[0][:, 0]), (new[1], ref[1]), (new[2], ref[2]), (new[0][:, -1], ref[0][:, -1])]
+    if block >= 2:
+        pairs.append((new[0][:, 0] * new[0][:, 1], ref[0][:, 0] * ref[0][:, 1]))
+    for new_values, ref_values in pairs:
         assert stats.ks_2samp(new_values, ref_values).pvalue > 1e-3
+
+
+def _pit_ks(lead, emp_mean, emp_var, n):
+    """KS distance from uniform of the first coordinates' probability integral
+    transforms: given the row's mean and (1/n) variance, T = (X_1 - mean) /
+    sqrt((n - 1) variance) has (T + 1) / 2 ~ Beta((n - 2) / 2, (n - 2) / 2)."""
+    t = (lead[:, 0] - emp_mean) / np.sqrt((n - 1) * emp_var)
+    pit = stats.beta.cdf((t + 1) / 2, (n - 2) / 2, (n - 2) / 2)
+    return stats.kstest(pit, "uniform").statistic, pit
+
+
+@pytest.mark.parametrize("sampler", ["sphere", "full-draw"])
+def test_first_coordinate_pit_is_exact_beta_over_seeds_0_to_99(sampler):
+    # The criterion-8 setting on every seed 0-99.  Each seed's KS distance
+    # stays below 2.2 / sqrt(accepted) (a per-seed level of about 1e-4), and
+    # the pooled transforms below 1.95 / sqrt(pooled) (a level of 1e-3).
+    args = (TWO_ATOM, (0.0, 1.0), 0.1, 200, 5, 12000)
+    pits = []
+    for seed in range(100):
+        if sampler == "sphere":
+            rows = _tiled_sample(*args, seed=seed)
+        else:
+            rows = _full_draw_sample(*args, np.random.default_rng(1000 + seed))
+        ks, pit = _pit_ks(*rows, n=200)
+        assert ks < 2.2 / math.sqrt(pit.size), seed
+        pits.append(pit)
+    pooled = np.concatenate(pits)
+    assert stats.kstest(pooled, "uniform").statistic < 1.95 / math.sqrt(pooled.size)
 
 
 @pytest.mark.parametrize("n, block", [(2, 1), (2, 2), (10, 3), (10, 9), (10, 10), (200, 5)])
@@ -187,7 +235,7 @@ def test_combined_statistics_have_exact_first_two_moments(n, block):
     # Var var = 2(n-1)V^2/n^2.  Each is checked within 4 standard errors.
     m, v, rows = 0.3, 2.0, 2 * 10**5
     rng = stream(17, scale_mixtures._STREAM_CONDITION)
-    _, emp_mean, emp_var = _draw_tile(MixingLaw.point(m, v), n, block, rows, rng)
+    emp_mean, emp_var = _row_statistics(MixingLaw.point(m, v), n, rows, rng)
     for values, mean, variance in [
         (emp_mean, m, v / n),
         (emp_var, (n - 1) * v / n, 2 * (n - 1) * v * v / n**2),
@@ -198,28 +246,84 @@ def test_combined_statistics_have_exact_first_two_moments(n, block):
         assert abs(np.mean(centred**2) - variance) <= 4 * moment_se
     # The row mean and row variance of a Gaussian sample are independent.
     assert abs(np.corrcoef(emp_mean, emp_var)[0, 1]) <= 4 / math.sqrt(rows)
+    # A point uniform on the sum-zero unit sphere has E U_i = 0, E U_i^2 = 1/n
+    # and E U_i U_j = -1/(n(n-1)), so given the row mean m and variance v a
+    # block coordinate has mean m and variance v, and two have covariance -v/(n-1).
+    lead = _sphere_blocks(np.full(rows, m), np.full(rows, v), n, rng, np.empty((rows, block))) - m
+    products = [(lead[:, 0], 0.0), (lead[:, -1] ** 2, v)]
+    if block >= 2:
+        products.append((lead[:, 0] * lead[:, 1], -v / (n - 1)))
+    for values, expected in products:
+        assert abs(values.mean() - expected) <= 4 * values.std() / math.sqrt(rows) + 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+def test_whole_sequence_blocks_have_their_row_statistics(n):
+    # With block == n the block is the whole sequence, so its own empirical
+    # mean and variance are the statistics it was drawn for.
+    rng = np.random.default_rng(19)
+    emp_mean, emp_var = rng.normal(0.0, 2.0, 500), rng.gamma(2.0, 1.0, 500)
+    rows = _sphere_blocks(emp_mean, emp_var, n, rng, np.empty((500, n)))
+    limits = np.array([empirical_limits(row) for row in rows])
+    np.testing.assert_allclose(limits[:, 0], emp_mean, rtol=0, atol=1e-12 * (1 + np.abs(emp_mean)).max())
+    np.testing.assert_allclose(limits[:, 1], emp_var, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n, block", [(2, 1), (2, 2), (10, 8), (10, 9), (10, 10)])
 def test_tile_draws_in_documented_order(n, block):
-    # latents, the block's normals row-major, one tail-sum normal per row,
-    # then one chi-square per row only when the tail has two coordinates or more
+    # Stage 1: the atom counts, one mean normal per row, one chi-square per
+    # row.  Stage 2, for the accepted rows: the block's normals row-major, one
+    # tail-sum normal per row, then one chi-square per row only when the tail
+    # has two coordinates or more.
     g = MixingLaw.discrete([(0.2, 1.0, 0.5), (-0.3, 3.0, 0.5)])
     rows, rest = 37, n - block
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-    lead, emp_mean, emp_var = _draw_tile(g, n, block, rows, rng)
-    means, variances = g.draw_latents(replay, rows)
-    x = means[:, None] + np.sqrt(variances)[:, None] * replay.standard_normal((rows, block))
-    assert np.array_equal(lead, x)
-    tail_sum = rest * means + np.sqrt(rest * variances) * replay.standard_normal(rows) if rest else 0.0
-    tail_ss = variances * replay.chisquare(rest - 1, rows) if rest >= 2 else 0.0
+    lead = _accepted_blocks(g, (0.0, 1.0), 1.0, n, block, rows, rng)
+    counts = replay.multinomial(rows, [0.5, 0.5])
+    means, variances = np.repeat([0.2, -0.3], counts), np.repeat([1.0, 3.0], counts) / n
+    emp_mean = means + np.sqrt(variances) * replay.standard_normal(rows)
+    emp_var = variances * replay.chisquare(n - 1, rows)
+    keep = (np.abs(emp_mean) < 1.0) & (np.abs(emp_var - 1.0) < 1.0)
+    emp_mean, emp_var, accepted = emp_mean[keep], emp_var[keep], int(keep.sum())
+    assert 0 < accepted < rows
+    z = replay.standard_normal((accepted, block))
+    tail_sum = math.sqrt(rest) * replay.standard_normal(accepted) if rest else 0.0
+    tail_ss = replay.chisquare(rest - 1, accepted) if rest >= 2 else 0.0
     assert replay.random() == rng.random()
-    total = x.sum(axis=1) + tail_sum
-    np.testing.assert_allclose(emp_mean, total / n, rtol=1e-12, atol=1e-12)
-    # direct form of the pooled sum of squares about the overall mean
-    lead_ss = ((x - (total / n)[:, None]) ** 2).sum(axis=1)
-    tail_about_overall = tail_ss + (rest * (tail_sum / rest - total / n) ** 2 if rest else 0.0)
-    np.testing.assert_allclose(emp_var, (lead_ss + tail_about_overall) / n, rtol=1e-12, atol=1e-12)
+    # direct form: the normal vector's deviations from its own mean, scaled to
+    # the sphere of radius sqrt(n variance) about the row mean
+    overall = (z.sum(axis=1) + tail_sum) / n
+    deviations = z - overall[:, None]
+    radius = np.sqrt((deviations**2).sum(axis=1) + tail_ss + (rest * (tail_sum / rest - overall) ** 2 if rest else 0.0))
+    expected = emp_mean[:, None] + (np.sqrt(n * emp_var) / radius)[:, None] * deviations
+    np.testing.assert_allclose(lead, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_empty_stage_two_draws_nothing():
+    # The V = 4 atom of the default law is never accepted at the criterion-8
+    # windows; with no accepted row, stage 2 draws nothing.
+    rng = np.random.default_rng(7)
+    emp_mean, emp_var = _row_statistics(MixingLaw.point(0.0, 4.0), 200, 5000, rng)
+    keep = (np.abs(emp_mean) < 0.1) & (np.abs(emp_var - 1.0) < 0.1)
+    assert not keep.any()
+    state = rng.bit_generator.state
+    assert _sphere_blocks(emp_mean[keep], emp_var[keep], 200, rng, np.empty((0, 5))).shape == (0, 5)
+    assert rng.bit_generator.state == state
+    assert _accepted_blocks(MixingLaw.point(0.0, 4.0), (0.0, 1.0), 0.1, 200, 5, 5000, rng).shape == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "mixing, n, block",
+    [(ZERO_WEIGHT_ATOM, 200, 5), (ZERO_WEIGHT_ATOM, 10, 10), (TWO_ATOM, 2, 1), (TWO_ATOM, 2, 2), (TWO_ATOM, 10, 10)],
+)
+def test_edge_laws_and_lengths_condition_without_warnings(mixing, n, block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = condition_two_moments(mixing, (0.0, 1.0), 0.5, n, block, 4000, seed=8)
+        lead = _accepted_blocks(mixing, (0.0, 1.0), ACCEPT_ALL, n, block, 4000, np.random.default_rng(8))
+    assert report.accepted > 0 and np.isfinite(report.ks_statistic)
+    # no row comes from the weight-0 atom, whose mean is 50
+    assert lead.shape == (4000, block) and np.abs(lead).max() < 25.0
 
 
 @pytest.mark.parametrize(
