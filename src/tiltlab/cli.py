@@ -156,7 +156,10 @@ def _emit(report: Report, config: ExperimentConfig) -> None:
     else:
         text = report_to_json(report)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {config.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -167,13 +170,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         report = run_experiment(config)
+        _emit(report, config)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    _emit(report, config)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         detail = f"  {check.detail}" if check.detail else ""

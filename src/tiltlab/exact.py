@@ -183,16 +183,12 @@ def _types(k: int, n: int, c: MomentConstraint | None) -> Iterator[np.ndarray]:
 
 def _reachable(c: MomentConstraint, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Which prefixes of size-n types, with their counts left, some completion
-    can bring into n times ``c``'s closed box of means (the target of an
-    equality, [target, inf) of a halfspace, the closed window), widened by 4n
-    times the tolerance of :meth:`MomentConstraint.holds`, far more than the
-    rounding of any sum.  A prefix of j symbols with sums s of h and r counts
-    left reaches s + r [min, max] of h over the symbols from j on."""
+    can bring into n times ``c``'s closed box of means, :attr:`~MomentConstraint.bounds`,
+    widened by 4n times the tolerance of :meth:`MomentConstraint.holds`, far
+    more than the rounding of any sum.  A prefix of j symbols with sums s of h
+    and r counts left reaches s + r [min, max] of h over the symbols from j on."""
     h = c.function.table
-    if c.epsilon is not None:
-        lo, hi = c.window
-    else:
-        lo, hi = c.target, (math.inf if c.kind == "halfspace" else c.target)
+    lo, hi = c.bounds
     slack = 4 * n * LATTICE_TOL * max(1.0, float(np.abs(h).max()))
     lo, hi = n * lo - slack, n * hi + slack
     least = np.minimum.accumulate(h[::-1])[::-1]  # least[j]: min of h over the symbols j..k-1

@@ -1,22 +1,22 @@
-"""Monte Carlo window conditioning with shrinking-window schedules.
+"""Monte Carlo conditioning, and sweeps along shrinking-window schedules.
 
 Two samplers estimate the conditional law of the first m coordinates of an
-i.i.d. sequence given a windowed :class:`~tiltlab.tilting.MomentConstraint`:
-the empirical mean of its scalar statistic lies in the open window.
+i.i.d. sequence given a :class:`~tiltlab.tilting.MomentConstraint`: an
+equality, a halfspace or an open window on the empirical mean of h.
 
-* rejection: simulate from the baseline and keep sequences whose mean
-  lands in the window,
+* rejection: simulate from the baseline and keep the sequences that meet
+  the constraint,
 * tilt-importance: simulate from the I-projection of the baseline onto
-  the closed window (:func:`~tiltlab.tilting.i_project`: the baseline
-  itself when its mean is in the window, otherwise the tilt to the nearest
-  endpoint, where the conditional law of the sum piles up), keep the
-  windowed sequences, and undo the tilt with self-normalized inverse
-  likelihood-ratio weights exp(-lam*S + n*M(lam)).
+  the constraint's closed box of means (:func:`~tiltlab.tilting.i_project`:
+  the baseline itself when its mean is in the box, otherwise the tilt to
+  its nearest point, where the conditional law of the sum piles up), keep
+  the sequences that meet it, and undo the tilt with self-normalized
+  inverse likelihood-ratio weights exp(-lam . S + n*M(lam)), S the h-sum.
 
-Importance proposals turn the rare window event into a typical one, which
-is what makes far-from-baseline targets tractable.  The weights still thin
-out as n grows, but slowly: the effective sample size falls roughly like
-n^(-1/2), not exponentially in n.
+Importance proposals turn a rare event into a typical one, which is what
+makes far-from-baseline targets tractable.  The weights still thin out as
+n grows, but slowly: the effective sample size falls roughly like n^(-1/2),
+not exponentially in n.
 
 A sequence is reduced to its type, the row of its symbol counts, and kept
 when :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts
@@ -169,10 +169,10 @@ def _binomial_pmf(trials: int, p0: float, p1: float) -> np.ndarray:
     return mass / math.fsum(mass)
 
 
-def _weights(sums: np.ndarray, lam: float, logz: float, n: int) -> np.ndarray:
-    """Inverse likelihood ratios exp(-lam*S + n*M(lam)) of whole sequences
-    with h-sums S, scaled so that the largest is 1 (all 1 under rejection)."""
-    log_w = -lam * sums + n * logz
+def _weights(tilts: np.ndarray, logz: float, n: int) -> np.ndarray:
+    """Inverse likelihood ratios exp(-lam . S + n*M(lam)) of whole sequences
+    with tilts lam . S of their h-sums S, scaled so that the largest is 1."""
+    log_w = -tilts + n * logz
     return np.exp(np.maximum(log_w - log_w.max(initial=-np.inf), -700.0))
 
 
@@ -183,26 +183,26 @@ def _cell_law(law: Distribution, n: int, m: int) -> np.ndarray:
     return np.outer(_binomial_pmf(m, p0, p1), _binomial_pmf(n - m, p0, p1))
 
 
-def _cell_table(c: MomentConstraint, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two symbols: each cell's verdict and h-sum, those of its head count
+def _cell_table(c: MomentConstraint, n: int, m: int, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two symbols: each cell's verdict and tilt, those of its head count
     a + t, from the n + 1 rows (n - j, j)."""
     heads = np.arange(n + 1)
     types = np.stack([n - heads, heads], axis=1)
     cell_heads = np.add.outer(np.arange(m + 1), np.arange(n - m + 1))
-    return c.holds_for_counts(types)[cell_heads], (types @ c.function.table[:, 0])[cell_heads]
+    return c.holds_for_counts(types)[cell_heads], ((types @ c.function.table) @ lam)[cell_heads]
 
 
 def _histogram_sums(
-    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: float, logz: float
+    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: np.ndarray, logz: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Two symbols: the proposals' cell counts, one multinomial draw.  An
     accepted cell's count is split over the C(m, a) words with a heads by a
     multinomial, in row blocks of at most ``_CHUNK_CELLS`` cells."""
     counts = rng.multinomial(samples, _cell_law(law, n, m).ravel())
-    holds, sums = _cell_table(c, n, m)
+    holds, tilts = _cell_table(c, n, m, lam)
     counts *= holds.ravel()
     cells = np.flatnonzero(counts)
-    weights = _weights(sums.ravel()[cells], lam, logz, n)
+    weights = _weights(tilts.ravel()[cells], logz, n)
     first_heads = cells // (n - m + 1)
     word_heads = sum((np.arange(2**m) >> bit) & 1 for bit in range(m))
     mass, mass_sq = np.zeros(2**m), np.zeros(2**m)
@@ -217,7 +217,7 @@ def _histogram_sums(
 
 
 def _proposal_sums(
-    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: float, logz: float
+    rng: np.random.Generator, law: Distribution, c: MomentConstraint, n: int, m: int, samples: int, lam: np.ndarray, logz: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """More symbols: each proposal draws its first m symbols and the symbol
     counts of the other n - m, one multinomial draw, in chunks of at most
@@ -227,7 +227,7 @@ def _proposal_sums(
     cum = np.cumsum(law.masses)
     cum[-1] = 1.0
     chunk_rows = max(1, _CHUNK_CELLS // (m + k))
-    kept_words, kept_sums = [], []
+    kept_words, kept_tilts = [], []
     for start in range(0, samples, chunk_rows):
         rows = min(chunk_rows, samples - start)
         first = np.searchsorted(cum, rng.random((rows, m)), side="right")
@@ -237,9 +237,9 @@ def _proposal_sums(
                 tally += column == symbol
         keep = c.holds_for_counts(types)
         kept_words.append(word_index(first[keep], k, m))
-        kept_sums.append(types[keep] @ c.function.table[:, 0])
+        kept_tilts.append((types[keep] @ c.function.table) @ lam)
     word_idx = np.concatenate(kept_words)
-    weights = _weights(np.concatenate(kept_sums), lam, logz, n)
+    weights = _weights(np.concatenate(kept_tilts), logz, n)
     mass = np.bincount(word_idx, weights=weights, minlength=k**m)
     weights **= 2
     return mass, np.bincount(word_idx, weights=weights, minlength=k**m), word_idx.size
@@ -273,7 +273,6 @@ def _conditioned_draws(
         raise ValueError("baseline law must be strictly positive")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    lo, hi = c.window
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if not (1 <= m <= n):
@@ -281,20 +280,18 @@ def _conditioned_draws(
     check_word_cap(p.alphabet.size, m)
 
     if method == "rejection":
-        proposal, lam, logz = p, 0.0, 0.0
+        proposal, lam, logz = p, np.zeros(c.function.dimension), 0.0
     else:
         solution = i_project(p, c)
-        proposal = solution.tilted
-        lam = float(solution.multiplier[0])
-        logz = solution.log_partition
+        proposal, lam, logz = solution.tilted, solution.multiplier, solution.log_partition
 
     rng = stream(seed, _METHOD_STREAM[method] + 2 * stream_index)
     sums = _histogram_sums if p.alphabet.size == 2 else _proposal_sums
     mass, mass_sq, accepted = sums(rng, proposal, c, n, m, samples, lam, logz)
     if accepted == 0:
         raise LowEffectiveSampleError(
-            f"0 of {samples} proposals landed in ({lo}, {hi}); "
-            "try the tilt-importance method or a wider window"
+            f"0 of {samples} proposals met the constraint at n = {n}; "
+            "try the tilt-importance method or a wider event"
         )
     total = mass.sum()
     mass /= total
@@ -319,13 +316,13 @@ def sample_conditional_blocks(
     seed: int = 0,
 ) -> McEstimate:
     """Estimate the law of the first m coordinates of an n-long i.i.d.
-    sequence from ``p``, conditioned on the windowed constraint ``c``: its
-    h-mean lies in the open window ``c.window``.
+    sequence from ``p``, conditioned on the constraint ``c``: its h-mean
+    meets :meth:`~tiltlab.tilting.MomentConstraint.holds`.
 
     ``samples`` is the number of proposal sequences.  Raises ValueError
-    when ``c`` carries no window or lives on another alphabet than ``p``,
-    and :class:`LowEffectiveSampleError` when the effective sample size is
-    below 50, nothing landing in the window included.
+    when ``c`` lives on another alphabet than ``p``, and
+    :class:`LowEffectiveSampleError` when the effective sample size is
+    below 50, no proposal meeting ``c`` included.
     """
     draws = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
     block = BlockLaw(p.alphabet, m, draws.mass)

@@ -6,14 +6,14 @@ exponential tilt with multiplier ``lam`` is
     P_lam(x) = P(x) * exp(lam . h(x) - M(lam)),
     M(lam)   = ln sum_x P(x) exp(lam . h(x)),
 
-and the I-projection of P onto a constraint set {Q : E_Q[h] = alpha} is
-the unique tilt meeting the constraint; onto a closed interval of scalar
-means (a halfspace or a window) it is P itself when P's mean lies inside,
-and otherwise the tilt to the nearest endpoint.  One Levenberg-damped
-Newton iteration, the same for every dimension d, minimises the strictly
-convex dual lam -> M(lam) - lam . alpha.  Targets off the moment hull fail
-a per-axis range check, or (d >= 2) give a separating direction from the
-iteration; either way the solve raises :class:`InfeasibleConstraintError`.
+and the I-projection of P onto a constraint's closed box of means (a
+point alpha, a halfspace or a window) is P itself when P's mean lies in
+the box, and otherwise the unique tilt whose mean is P's mean clipped to
+the box.  One Levenberg-damped Newton iteration, the same for every
+dimension d, minimises the strictly convex dual lam -> M(lam) - lam . alpha.
+Targets off the moment hull fail a per-axis range check, or (d >= 2) give
+a separating direction from the iteration; either way the solve raises
+:class:`InfeasibleConstraintError`.
 
 Sign convention: the tilt density uses exp(+lam . h).  Raising a mean
 above the baseline mean therefore yields a positive multiplier.
@@ -145,7 +145,7 @@ class MomentConstraint:
         if self.epsilon is not None:
             if self.epsilon <= 0:
                 raise ValueError(f"window half-width must be > 0, got {self.epsilon}")
-            lo, hi = self.window
+            (lo,), (hi,) = self.bounds
             h = self.function.table[:, 0]
             if not (h.min() < lo and hi < h.max()):
                 raise ValueError(
@@ -154,17 +154,21 @@ class MomentConstraint:
                 )
 
     @property
-    def window(self) -> tuple[float, float]:
-        if self.epsilon is None:
-            raise ValueError("constraint carries no window")
-        alpha = float(self.target[0])
-        return alpha - self.epsilon, alpha + self.epsilon
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed box [lo, hi] of means, as length-d arrays: the target
+        twice for an equality, [target, inf) for a halfspace and the closed
+        window [target - epsilon, target + epsilon]."""
+        if self.epsilon is not None:
+            return self.target - self.epsilon, self.target + self.epsilon
+        if self.kind == "halfspace":
+            return self.target, np.full_like(self.target, np.inf)
+        return self.target, self.target
 
     def holds(self, means) -> np.ndarray:
         """Which rows of empirical means, shape (T, d) or (T,) for d = 1,
         satisfy the constraint: the one membership test of the exact oracle
-        and the samplers.  Comparisons carry a ``LATTICE_TOL``-scaled
-        tolerance; window endpoints are excluded (open interval).
+        and the samplers.  A ``LATTICE_TOL``-scaled tolerance widens the box
+        of :attr:`bounds`, or narrows a window, whose ends are excluded.
         """
         means = np.asarray(means, dtype=float)
         if means.ndim == 1:
@@ -172,12 +176,10 @@ class MomentConstraint:
         if means.ndim != 2 or means.shape[1] != self.function.dimension:
             raise ValueError(f"means have shape {means.shape}, expected (T, {self.function.dimension})")
         tol = LATTICE_TOL * max(1.0, float(np.abs(self.function.table).max()))
+        lo, hi = self.bounds
         if self.epsilon is not None:
-            lo, hi = self.window
-            return (means[:, 0] > lo + tol) & (means[:, 0] < hi - tol)
-        if self.kind == "halfspace":
-            return means[:, 0] >= float(self.target[0]) - tol
-        return np.all(np.abs(means - self.target) <= tol, axis=1)
+            return np.all((means > lo + tol) & (means < hi - tol), axis=1)
+        return np.all((means - lo >= -tol) & (means - hi <= tol), axis=1)
 
     def holds_for_counts(self, counts: np.ndarray) -> np.ndarray:
         """Which rows of symbol counts, shape (T, k), have a mean that
@@ -377,21 +379,17 @@ def solve_moment_equality(p: Distribution, h: MomentFunction, alpha) -> TiltSolu
 
 
 def i_project(p: Distribution, constraint: MomentConstraint) -> TiltSolution:
-    """I-projection of ``p`` onto the constraint set (Csiszar 1975).
-
-    An unwindowed equality delegates to the moment solve.  A halfspace
-    E_Q[h] >= target is the closed interval [target, inf) of means and a
-    window the closed interval [lo, hi]; onto either, the projection is
-    ``p`` itself (status "interior", multiplier 0) when the baseline mean
-    lies in the interval, and otherwise the equality tilt to the nearest
-    endpoint, min(max(base, lo), hi).
+    """I-projection of ``p`` onto the constraint's closed box of means
+    :attr:`~MomentConstraint.bounds` (Csiszar 1975): ``p`` itself (status
+    "interior", multiplier 0) when its mean lies in the box, and otherwise
+    the equality tilt to the baseline mean clipped to the box.  Every box
+    with d >= 2 is one point, an equality target, and on the line the
+    clipped mean is the nearest end, so the clip is the projection.
     """
     _require_positive(p)
     h = constraint.function
-    if constraint.kind == "equality" and constraint.epsilon is None:
-        return solve_moment_equality(p, h, constraint.target)
-    lo, hi = constraint.window if constraint.epsilon is not None else (float(constraint.target[0]), math.inf)
-    base = float(p.masses @ h.table[:, 0])
-    if lo <= base <= hi:
-        return _solution_at(p, h, np.zeros(1), np.array([base]), "interior")
-    return solve_moment_equality(p, h, [min(max(base, lo), hi)])
+    lo, hi = constraint.bounds
+    base = p.masses @ h.table
+    if np.all((lo <= base) & (base <= hi)):
+        return _solution_at(p, h, np.zeros(h.dimension), base, "interior")
+    return solve_moment_equality(p, h, np.clip(base, lo, hi))

@@ -506,7 +506,7 @@ def test_head_mass_that_rounds_to_one_exits_2_on_one_line(tail_mass, capsys, tmp
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 0 of 2000 proposals landed in (")
+    assert captured.err.startswith("error: 0 of 2000 proposals met the constraint")
     assert captured.err.count("\n") == 1
     with pytest.raises(LowEffectiveSampleError):
         run_experiment(_config_from_args(build_parser().parse_args(argv)))
@@ -549,6 +549,18 @@ def test_unreadable_config_file_exits_2(contents, message, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(config_path)}\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_exits_2_on_one_line(where, capsys, tmp_path):
+    # Exit 1 means a check failed; a report that cannot be written is a
+    # bad --out, like an unreadable --config.
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    assert main(["dice", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

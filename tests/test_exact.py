@@ -68,8 +68,8 @@ def reference_satisfies(row, c: MomentConstraint) -> bool:
     means = [sum(count * h[d] for count, h in zip(row, table)) / n for d in range(len(table[0]))]
     tol = 1e-12 * max(1.0, max(abs(v) for h in table for v in h))
     if c.epsilon is not None:
-        lo, hi = c.window
-        return lo + tol < means[0] < hi - tol
+        target = float(c.target[0])
+        return target - c.epsilon + tol < means[0] < target + c.epsilon - tol
     if c.kind == "halfspace":
         return means[0] >= float(c.target[0]) - tol
     return all(abs(mean - target) <= tol for mean, target in zip(means, c.target.tolist()))

@@ -405,6 +405,21 @@ def test_project_window_with_the_baseline_mean_on_its_closed_end_keeps_baseline(
     assert sol.tilted is DIE
 
 
+@pytest.mark.parametrize("kind, epsilon", [("equality", None), ("halfspace", None), ("equality", 1e-13)], ids=["equality", "halfspace", "window"])
+def test_baseline_mean_within_the_hull_margin_projects_to_the_baseline(kind, epsilon):
+    # The mean 1 - 1e-12 lies closer to the hull's end 1 than HULL_MARGIN, so
+    # the moment solve refuses it as a target.  Every box of means that holds
+    # it, the point of an equality included, projects to the baseline itself.
+    p = Distribution(COIN.alphabet, [1e-12, 1 - 1e-12])
+    mean = float(p.masses @ COIN_H.table[:, 0])
+    with pytest.raises(InfeasibleConstraintError):
+        solve_moment_equality(p, COIN_H, [mean])
+    sol = i_project(p, MomentConstraint(COIN_H, kind, [mean], epsilon=epsilon))
+    assert sol.status == "interior"
+    assert np.all(sol.multiplier == 0.0)
+    assert sol.tilted is p
+
+
 @pytest.mark.parametrize("target, end", [(2.5, 3.0), (5.0, 4.5)])
 def test_project_window_tilts_to_the_nearest_end(target, end):
     # (2.0, 3.0) lies below the die's mean and (4.5, 5.5) above it.
