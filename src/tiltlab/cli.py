@@ -1,128 +1,129 @@
 """Command-line front end.
 
 One subcommand per experiment, each with a zero-argument default; flags
-override values from an optional ``--config`` JSON file.  Exit codes:
-0 when every report check passes, 1 when any check fails, 2 on the typed
-errors of ``_CONFIG_ERRORS``, 3 when the moment solver fails on a feasible
-target.  Any other exception is a fault and keeps its traceback.
+(exact names, as ``--flag value`` or ``--flag=value``) override values from
+an optional ``--config`` JSON file.  Exit codes: 0 when every report check
+passes, 1 when any check fails, 2 on a usage error or the typed errors of
+``_CONFIG_ERRORS``, 3 when the moment solver fails on a feasible target.
+Any other exception is a fault and keeps its traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 from .experiments import run_experiment
 from .montecarlo import METHODS, LowEffectiveSampleError
 from .reports import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    Report,
-    config_from_dict,
-    config_to_dict,
-    default_config,
-    render_csv,
+    FORMATS, ConfigError, ExperimentConfig, Report, config_from_dict, config_to_dict, default_config, render_csv,
     report_to_json,
 )
 from .simplex import EnumerationCapError
 from .tilting import InfeasibleConstraintError, SolverError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "parse_args"]
 
 _CONFIG_ERRORS = (ConfigError, InfeasibleConstraintError, EnumerationCapError, LowEffectiveSampleError)
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     """Accept "20,40,60" or "20:400:20" (inclusive stop)."""
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(v) for v in text.split(","))
+    if ":" not in text:
+        return tuple(int(v) for v in text.split(","))
+    parts = [int(v) for v in text.split(":")]
+    start, stop, step = parts if len(parts) == 3 else (*parts, 1)
+    return tuple(range(start, stop + 1, step))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    values = _parse_floats(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
-    return values  # type: ignore[return-value]
+# Each flag's destination, a parse function that raises ValueError on bad text, and its
+# help.  A destination is a config field or one of config, baseline_p, target and kind.
+_FLAGS = {
+    "--config": ("config", Path, "JSON config file; flags override it"),
+    "--seed": ("seed", int, "random seed"),
+    "--samples": ("samples", int, "number of Monte Carlo samples"),
+    "--format": ("format", str, "report format: " + " or ".join(FORMATS)),
+    "--out": ("out", Path, "write the report here, not to standard output"),
+    "--baseline-p": ("baseline_p", float, "success probability p of a Bernoulli baseline"),
+    "--target": ("target", float, "constraint target"),
+    "--kind": ("kind", str, "constraint kind: equality or halfspace"),
+    "--n-grid": ("n_grid", _parse_grid, "sizes n, as 20,40,60 or 20:400:20 (inclusive)"),
+    "--m": ("m", int, "block length m"),
+    "--method": ("method", str, "sampler: " + " or ".join(METHODS)),
+    "--gamma": ("exponent", float, "window exponent in (0, 0.5)"),
+    "--amplitude": ("amplitude", float, "window amplitude (default half the statistic range)"),
+    "--big-n": ("block_size", int, "type size N"),
+    "--interval": ("interval", _parse_floats, "entropy interval lo,hi"),
+    "--targets": ("gsm_targets", _parse_floats, "target mean,variance"),
+    "--epsilon": ("gsm_epsilon", float, "half-width of the two moment windows"),
+    "--n": ("gsm_n", int, "sequence length n"),
+    "--block": ("gsm_block", int, "length of the conditioned block"),
+    "--t-grid": ("t_grid", _parse_floats, "comma-separated points t"),
+}
+# Each subcommand's help line and its flags, in help order.
+_COMMANDS = {
+    name: (summary, ("--config", "--seed", "--samples", "--format", "--out", *flags.split()))
+    for name, (summary, flags) in {
+        "dice": ("tilt a fair die to a target mean", "--target"),
+        "dice-concentration": ("entropy concentration of multinomial types", "--big-n --interval"),
+        "bernoulli": ("coin projection and exact convergence sweep", "--baseline-p --target --n-grid --m"),
+        "theorem1": ("exact convergence sweep for a configured model", "--baseline-p --target --kind --n-grid --m"),
+        "windows": ("Monte Carlo shrinking-window sweep", "--baseline-p --target --n-grid --m --method --gamma --amplitude"),
+        "gsm": ("two-moment conditioning of a Gaussian scale mixture", "--targets --epsilon --n --block"),
+        "cf-check": ("radial characteristic-function identity", "--t-grid"),
+    }.items()
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tiltlab",
-        description="Exponential tilting and exact conditioning experiments.",
-    )
-    sub = parser.add_subparsers(dest="experiment", metavar="|".join(EXPERIMENTS))
-    sub.required = True
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--out", type=Path, help="write the report here")
-
-    def sweep(p: argparse.ArgumentParser, target_help: str | None = None, kind: bool = False) -> None:
-        p.add_argument("--baseline-p", type=float)
-        p.add_argument("--target", type=float, help=target_help)
-        if kind:
-            p.add_argument("--kind", choices=("equality", "halfspace"))
-        p.add_argument("--n-grid", type=_parse_grid)
-        p.add_argument("--m", type=int)
-
-    p_dice = sub.add_parser("dice", help="tilt a fair die to a target mean")
-    common(p_dice)
-    p_dice.add_argument("--target", type=float, help="target mean (default 4.5)")
-
-    p_conc = sub.add_parser("dice-concentration", help="entropy concentration of multinomial types")
-    common(p_conc)
-    p_conc.add_argument("--big-n", dest="block_size", metavar="BIG_N", type=int, help="type size N (default 1000)")
-    p_conc.add_argument("--interval", type=_parse_pair, help="entropy interval lo,hi")
-
-    p_ber = sub.add_parser("bernoulli", help="coin projection and exact convergence sweep")
-    common(p_ber)
-    sweep(p_ber, target_help="halfspace target (default 0.75)")
-
-    p_thm = sub.add_parser("theorem1", help="exact convergence sweep for a configured model")
-    common(p_thm)
-    sweep(p_thm, kind=True)
-
-    p_win = sub.add_parser("windows", help="Monte Carlo shrinking-window sweep")
-    common(p_win)
-    sweep(p_win)
-    p_win.add_argument("--method", choices=METHODS)
-    p_win.add_argument("--gamma", dest="exponent", type=float, help="window exponent in (0, 0.5)")
-    p_win.add_argument("--amplitude", type=float, help="window amplitude (default half the statistic range)")
-
-    p_gsm = sub.add_parser("gsm", help="two-moment conditioning of a Gaussian scale mixture")
-    common(p_gsm)
-    p_gsm.add_argument("--targets", dest="gsm_targets", metavar="TARGETS", type=_parse_pair, help="target mean,variance")
-    p_gsm.add_argument("--epsilon", dest="gsm_epsilon", metavar="EPSILON", type=float)
-    p_gsm.add_argument("--n", dest="gsm_n", type=int)
-    p_gsm.add_argument("--block", dest="gsm_block", type=int)
-
-    p_cf = sub.add_parser("cf-check", help="radial characteristic-function identity")
-    common(p_cf)
-    p_cf.add_argument("--t-grid", type=_parse_floats)
-
-    return parser
+def _help(names: list[str]) -> str:
+    text = "usage: tiltlab EXPERIMENT [-h] [--flag VALUE | --flag=VALUE ...]\n"
+    for name in names:
+        summary, flags = _COMMANDS[name]
+        text += f"\n{name}: {summary}\n" + "".join(f"  {f + ' ' + f[2:].upper():<26}{_FLAGS[f][2]}\n" for f in flags)
+    return text
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _exit(code: int, text: str) -> NoReturn:
+    (sys.stderr if code else sys.stdout).write(text)
+    raise SystemExit(code)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The experiment ``argv[0]`` and its flags' destinations, None where not given."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _exit(0, _help(list(_COMMANDS)))
+    if not argv or argv[0] not in _COMMANDS:
+        _exit(2, f"tiltlab: error: expected one of {'|'.join(_COMMANDS)}, got {(argv or [''])[0]!r}\n")
+    name, tokens = argv[0], iter(argv[1:])
+    flags = _COMMANDS[name][1]
+    values = {_FLAGS[flag][0]: None for flag in flags}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(0, _help([name]))
+        flag, has_value, text = token.partition("=")
+        if flag not in flags:
+            _exit(2, f"tiltlab {name}: error: unrecognized argument {token!r}\n")
+        if not has_value:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _exit(2, f"tiltlab {name}: error: argument {flag} needs a value\n")
+        dest, parse, _ = _FLAGS[flag]
+        try:
+            values[dest] = parse(text)
+        except ValueError:
+            _exit(2, f"tiltlab {name}: error: argument {flag}: invalid value {text!r}\n")
+    return SimpleNamespace(experiment=name, **values)
+
+
+def _config_from_args(args: SimpleNamespace) -> ExperimentConfig:
     """The experiment's defaults, then the ``--config`` file, then the flags,
     validated once as a whole."""
     raw = config_to_dict(default_config(args.experiment))
@@ -165,8 +166,7 @@ def _emit(report: Report, config: ExperimentConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = _config_from_args(args)
         report = run_experiment(config)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ from scipy import stats
 
 import tiltlab
 from tiltlab import cli, tilting
-from tiltlab.cli import _config_from_args, build_parser, main
+from tiltlab.cli import _config_from_args, main, parse_args
 from tiltlab.experiments import _chi2_quantile, run_experiment
 from tiltlab.montecarlo import LowEffectiveSampleError
 from tiltlab.reports import (
@@ -418,6 +417,8 @@ def test_word_cap_exits_2_on_one_line(argv, capsys):
         (["cf-check", "--t-grid", "nan"], "t grid entries must be finite, got (nan,)"),
         (["gsm", "--targets", "nan,1"], "gsm targets and epsilon must be finite, got (nan, 1.0) and 0.1"),
         (["gsm", "--targets", "0,inf"], "gsm targets and epsilon must be finite, got (0.0, inf) and 0.1"),
+        (["dice-concentration", "--interval", "1,2,3"], "interval needs two values, got (1.0, 2.0, 3.0)"),
+        (["gsm", "--targets", "1"], "gsm_targets needs two values, got (1.0,)"),
     ],
 )
 def test_out_of_range_flags_exit_2_as_config_errors(argv, message, capsys, monkeypatch):
@@ -485,7 +486,7 @@ def test_library_level_inputs_exit_2_as_config_errors(argv, config, message, cap
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     with pytest.raises(ConfigError) as exc:
-        run_experiment(_config_from_args(build_parser().parse_args(argv)))
+        run_experiment(_config_from_args(parse_args(argv)))
     assert str(exc.value) == message
 
 
@@ -509,7 +510,7 @@ def test_head_mass_that_rounds_to_one_exits_2_on_one_line(tail_mass, capsys, tmp
     assert captured.err.startswith("error: 0 of 2000 proposals met the constraint")
     assert captured.err.count("\n") == 1
     with pytest.raises(LowEffectiveSampleError):
-        run_experiment(_config_from_args(build_parser().parse_args(argv)))
+        run_experiment(_config_from_args(parse_args(argv)))
 
 
 def test_internal_value_error_is_not_a_config_error(monkeypatch):
@@ -604,9 +605,9 @@ def test_target_just_past_a_slanted_face_exits_2(experiment, capsys, tmp_path):
 
 
 def test_cli_surface_per_subcommand():
-    # Option strings in --help order; each destination is a config field or
-    # one of the flags that edit the baseline and constraint specs.
-    common = ["-h", "--help", "--config", "--seed", "--samples", "--format", "--out"]
+    # Flags in --help order; each destination is a config field or one of
+    # the flags that edit the baseline and constraint specs.
+    common = ["--config", "--seed", "--samples", "--format", "--out"]
     expected = {
         "dice": common + ["--target"],
         "dice-concentration": common + ["--big-n", "--interval"],
@@ -616,12 +617,108 @@ def test_cli_surface_per_subcommand():
         "gsm": common + ["--targets", "--epsilon", "--n", "--block"],
         "cf-check": common + ["--t-grid"],
     }
-    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(subparsers.choices) == list(expected)
-    dests = {f.name for f in fields(ExperimentConfig)} | {"help", "config", "baseline_p", "target", "kind"}
-    for name, parser in subparsers.choices.items():
-        assert [s for a in parser._actions for s in a.option_strings] == expected[name], name
-        assert {a.dest for a in parser._actions} <= dests, name
+    assert list(cli._COMMANDS) == list(expected)
+    dests = {f.name for f in fields(ExperimentConfig)} | {"config", "baseline_p", "target", "kind"}
+    for name, (_, flags) in cli._COMMANDS.items():
+        assert list(flags) == expected[name], name
+        assert {cli._FLAGS[flag][0] for flag in flags} <= dests, name
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["windows", "--seed", "3", "--gamma", "0.3"], ["windows", "--seed=3", "--gamma=0.3"]),
+        (
+            ["windows", "--seed", "1", "--seed", "3", "--n-grid", "9", "--n-grid", "20:40:10"],
+            ["windows", "--seed", "3", "--n-grid", "20,30,40"],
+        ),
+        (["dice", "--out", "a=b"], ["dice", "--out=a=b"]),
+    ],
+)
+def test_flag_forms_give_the_same_config(argv, expected):
+    # "--flag value" and "--flag=value" read alike, and a repeated flag
+    # keeps its last value.
+    assert _config_from_args(parse_args(argv)) == _config_from_args(parse_args(expected))
+
+
+def test_negative_number_is_a_flag_value():
+    assert parse_args(["dice", "--target", "-0.5"]).target == -0.5
+    assert _config_from_args(parse_args(["bernoulli", "--target", "-1e-3"])).constraint["target"] == -1e-3
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        ([], "got ''"),
+        (["siege"], "'siege'"),
+        (["dice", "--threads", "2"], "'--threads'"),
+        (["dice", "--threads=2"], "'--threads=2'"),
+        (["dice", "--samp", "5"], "'--samp'"),
+        (["windows", "--meth", "rejection"], "'--meth'"),
+        (["dice", "4.5"], "'4.5'"),
+        (["dice", "--gamma", "0.3"], "'--gamma'"),
+        (["dice", "--seed"], "--seed"),
+        (["dice", "--seed", "--samples", "5"], "--seed"),
+        (["dice", "--seed", "x"], "'x'"),
+        (["dice", "--seed=x"], "'x'"),
+        (["dice", "--seed="], "''"),
+        (["bernoulli", "--n-grid", "1:2:3:4"], "'1:2:3:4'"),
+        (["bernoulli", "--n-grid", "1:9:0"], "'1:9:0'"),
+        (["gsm", "--targets", "0,x"], "'0,x'"),
+    ],
+)
+def test_usage_errors_exit_2_on_one_stderr_line(argv, token, capsys, monkeypatch):
+    def fail(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr("tiltlab.cli.run_experiment", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prog = "tiltlab " + argv[0] if argv and argv[0] in cli._COMMANDS else "tiltlab"
+    assert captured.err.startswith(f"{prog}: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert token in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], *([name, "--help"] for name in cli._COMMANDS), ["gsm", "--n", "9", "-h"]]
+)
+def test_help_exits_0_and_lists_every_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    names = list(cli._COMMANDS) if argv[0] in ("-h", "--help") else [argv[0]]
+    for name in names:
+        summary, flags = cli._COMMANDS[name]
+        section = captured.out.split(f"\n{name}: {summary}\n")[1].split("\n\n")[0]
+        assert [line.split()[0] for line in section.splitlines()] == list(flags)
+        assert all(cli._FLAGS[flag][2] in section for flag in flags)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["dice", "--format", "xml"], {"format": "xml"}),
+        (["windows", "--method", "x"], {"method": "x"}),
+        (["theorem1", "--kind", "x"], {"constraint": {"kind": "x", "target": 0.75}}),
+    ],
+)
+def test_choice_flags_and_config_keys_fail_alike(argv, config, capsys, tmp_path):
+    # The config's check owns the allowed values: one error for each outcome.
+    assert main(argv) == 2
+    from_flag = capsys.readouterr()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment": argv[0], **config}))
+    assert main([argv[0], "--config", str(config_path)]) == 2
+    from_file = capsys.readouterr()
+    assert from_flag.out == from_file.out == ""
+    assert from_flag.err == from_file.err
+    assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
 
 
 def test_threads_flag_and_config_key_are_rejected(capsys, tmp_path):
@@ -658,16 +755,18 @@ def test_chi2_quantile_equals_scipy(k):
     assert _chi2_quantile(0.95, k - 1) == stats.chi2.ppf(0.95, k - 1)
 
 
-def test_cli_never_imports_scipy_stats_integrate_optimize_or_jsonschema(tmp_path):
+def test_cli_never_imports_argparse_gettext_locale_scipy_stats_integrate_optimize_or_jsonschema(tmp_path):
     # A fresh interpreter: this test process has imported scipy.stats,
-    # scipy.optimize and jsonschema itself.  The runs cover the sampler (gsm,
-    # dice-concentration), the scalar solve (dice) and the d = 2 solve with
-    # its hull test (theorem1 on the exact-die-2d workload's config).
+    # scipy.optimize, jsonschema and argparse itself.  The runs cover the
+    # sampler (gsm, dice-concentration), the scalar solve (dice) and the d = 2
+    # solve with its hull test (theorem1 on the exact-die-2d workload's config).
     #
-    # Importing the CLI loads no scipy module, and the runs other than
-    # dice-concentration, the one that needs scipy.special, first-import no
-    # numpy, scipy or tiltlab module: the set-up loads what they use.  It
-    # runs last, so that what it loads hides nothing.
+    # Importing the CLI loads no scipy module and none of argparse, gettext
+    # and locale, and the runs other than dice-concentration, the one that
+    # needs scipy.special, first-import no numpy, scipy or tiltlab module and
+    # none of those three: the set-up loads what they use.  It runs last, so
+    # that what it loads hides nothing; scipy itself imports argparse (through
+    # numpy.testing and unittest).
     configs = {
         "gsm": {"experiment": "gsm"},
         "dice": {"experiment": "dice"},
@@ -692,9 +791,10 @@ def loaded():
     return [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize", "jsonschema") if m in sys.modules]
 
 def ours(names):
-    return sorted(m for m in names if m.partition(".")[0] in ("numpy", "scipy", "tiltlab"))
+    tops = ("numpy", "scipy", "tiltlab", "argparse", "gettext", "locale")
+    return sorted(m for m in names if m.partition(".")[0] in tops)
 
-seen = {"import": [0, loaded(), [m for m in ours(sys.modules) if m.startswith("scipy")]]}
+seen = {"import": [0, loaded(), [m for m in ours(sys.modules) if not m.startswith(("numpy", "tiltlab"))]]}
 for name, config_path, out in json.loads(sys.argv[1]):
     before = set(sys.modules)
     rc = tiltlab.cli.main([json.load(open(config_path))["experiment"], "--config", config_path, "--out", out])
