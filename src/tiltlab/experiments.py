@@ -25,7 +25,7 @@ from .exact import (
 from .montecarlo import MIN_SAMPLES, WindowSchedule, rate_fit, window_sweep
 from .reports import CheckResult, ConfigError, ExperimentConfig, Report, Table, default_config
 from .scale_mixtures import MixingLaw, condition_two_moments, radial_cf_check
-from .simplex import Alphabet, Distribution, entropy
+from .simplex import Alphabet, Distribution, entropy, product_block_law
 from .tilting import MomentConstraint, MomentFunction, i_project
 
 __all__ = ["run_experiment", "RUNNERS"]
@@ -410,39 +410,29 @@ def run_windows(config: ExperimentConfig) -> Report:
         span = float(h.table[:, 0].max() - h.table[:, 0].min())
         amplitude = config.amplitude if config.amplitude is not None else 0.5 * span
         schedule = WindowSchedule(amplitude=amplitude, exponent=config.exponent)
-        # The widest window, at the smallest n, must sit inside the statistic's range.
-        widest = MomentConstraint(h, "equality", spec["target"], epsilon=schedule.epsilon(min(config.n_grid)))
-    points = window_sweep(
-        p,
-        h,
-        float(widest.target[0]),
-        schedule,
-        list(config.n_grid),
-        config.m,
-        config.samples,
-        seed=config.seed,
-        method=config.method,
-    )
+        windows = [(n, MomentConstraint(h, "equality", spec["target"], epsilon=schedule.epsilon(n))) for n in config.n_grid]
+    limit = product_block_law(i_project(p, build_constraint(spec, p.alphabet)).tilted, config.m)
+    estimates = window_sweep(p, windows, config.m, config.samples, seed=config.seed, method=config.method)
+    tvs = [est.tv_to(limit) for est in estimates]
     table = Table(
         columns=("n", "epsilon", "tv_estimate", "se", "acceptance_rate", "ess", "method", "seed"),
         rows=tuple(
-            (pt.n, pt.epsilon, pt.tv_estimate, pt.std_error, pt.acceptance_rate, pt.ess, pt.method, pt.seed)
-            for pt in points
+            (n, c.epsilon, tv, se, est.accepted / config.samples, est.ess, config.method, config.seed)
+            for (n, c), est, (tv, se) in zip(windows, estimates, tvs)
         ),
     )
-    first, last = points[0], points[-1]
-    allowance = math.hypot(first.std_error, last.std_error)
+    (first_tv, first_se), (last_tv, last_se) = tvs[0], tvs[-1]
     checks = [
         _check(
             "tv-trend",
             "montecarlo: tv decreases along a shrinking-window schedule (1 SE allowance)",
-            (first.tv_estimate - last.tv_estimate) + allowance,
-            f"tv {first.tv_estimate:.4f} -> {last.tv_estimate:.4f}",
+            (first_tv - last_tv) + math.hypot(first_se, last_se),
+            f"tv {first_tv:.4f} -> {last_tv:.4f}",
         ),
         _check(
             "ess-floor",
             "montecarlo: effective sample size >= 50 for every published estimate",
-            min(pt.ess for pt in points) - 50.0,
+            min(est.ess for est in estimates) - 50.0,
         ),
     ]
     return Report(

@@ -1,4 +1,4 @@
-"""Monte Carlo conditioning, and sweeps along shrinking-window schedules.
+"""Monte Carlo conditioning, one constraint or a sweep of them.
 
 Two samplers estimate the conditional law of the first m coordinates of an
 i.i.d. sequence given a :class:`~tiltlab.tilting.MomentConstraint`: an
@@ -22,8 +22,9 @@ A sequence is reduced to its type, the row of its symbol counts, and kept
 when :meth:`~tiltlab.tilting.MomentConstraint.holds_for_counts` accepts
 it.  The exact oracle reduces its types the same way, so both condition on
 the identical event, and a type's verdict does not depend on its symbols'
-order.  Every estimate reads the accepted proposals only through the
-weighted counts of their first-m words.
+order.  Every estimate, one :class:`McEstimate`, reads the accepted
+proposals only through the weighted counts of their first-m words, and a
+sweep (:func:`window_sweep`) is one estimate per (n, constraint) pair.
 
 On two symbols a proposal is summed up by its cell (a, t): a heads among
 the first m symbols and t among the other n - m.  The cell counts of N
@@ -44,19 +45,18 @@ id), so estimates are bit-identical across runs for a fixed configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .rng import stream
-from .simplex import BlockLaw, Distribution, check_word_cap, product_block_law, tv_distance, word_index
-from .tilting import MomentConstraint, MomentFunction, i_project, solve_moment_equality
+from .simplex import BlockLaw, Distribution, check_word_cap, tv_distance, word_index
+from .tilting import MomentConstraint, i_project
 
 __all__ = [
     "WindowSchedule",
     "McEstimate",
-    "WindowSweepPoint",
     "RateFit",
     "LowEffectiveSampleError",
     "sample_conditional_blocks",
@@ -98,49 +98,6 @@ class WindowSchedule:
 
     def epsilon(self, n: int) -> float:
         return self.amplitude * n ** (-self.exponent)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Self-normalized estimate of the law of the first m coordinates.
-
-    ``block`` is the weighted empirical law of the accepted first-m words;
-    ``std_errors[i]`` is the weighted sampling standard error of the mass
-    of word i in its word order.  With equal weights it reduces to sample
-    std over the square root of the accepted count.  ``ess`` is the
-    effective sample size 1 / sum of squared normalized weights, and
-    exactly the accepted count under rejection.
-    """
-
-    block: BlockLaw
-    std_errors: np.ndarray = field(repr=False)
-    accepted: int
-    ess: float
-
-    def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
-        """(estimate, standard error) for one word; (0, 0) if never seen."""
-        i = word_index(word, self.block.alphabet.size, self.block.m)
-        return float(self.block.masses[i]), float(self.std_errors[i])
-
-
-@dataclass(frozen=True)
-class WindowSweepPoint:
-    """One grid point of a Monte Carlo shrinking-window sweep.
-
-    ``tv_estimate`` is the plug-in distance of the weighted empirical block
-    law to the m-fold product of the target tilt; plug-in TV of an
-    empirical law is upward-biased, so it is reported together with a
-    delta-method standard error rather than corrected.
-    """
-
-    n: int
-    epsilon: float
-    tv_estimate: float
-    std_error: float
-    acceptance_rate: float
-    ess: float
-    method: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -245,15 +202,54 @@ def _proposal_sums(
     return mass, np.bincount(word_idx, weights=weights, minlength=k**m), word_idx.size
 
 
-class _Draws(NamedTuple):
-    """The accepted draws summed per first-m word, in the word order of
-    :class:`BlockLaw`: ``mass`` adds their self-normalized weights and
-    ``mass_sq`` the squares of those weights."""
+class McEstimate(NamedTuple):
+    """Self-normalized estimate of the law of the first m coordinates.
 
-    mass: np.ndarray
-    mass_sq: np.ndarray
+    ``block`` is the weighted empirical law of the accepted first-m words,
+    and ``weight_sq[i]`` sums the squared self-normalized weights of the
+    accepted draws of word i, in the word order of :class:`BlockLaw`.
+    ``ess`` is the effective sample size 1 / sum of squared normalized
+    weights, and exactly the accepted count when every weight is equal, as
+    under rejection.  As a NamedTuple it unpacks as (block, weight_sq,
+    accepted, ess).
+    """
+
+    block: BlockLaw
+    weight_sq: np.ndarray
     accepted: int
     ess: float
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        """The weighted sampling standard error of each word's mass.  With
+        equal weights it reduces to sample std over the square root of the
+        accepted count."""
+        masses, w_sq, sq_total = self.block.masses, self.weight_sq, self.weight_sq.sum()
+        # Weighted Bessel-corrected sampling variance of each indicator mean;
+        # reduces to var(indicator, ddof=1)/accepted for equal weights.
+        variances = (w_sq * (1.0 - masses) ** 2 + (sq_total - w_sq) * masses**2) / (1.0 - sq_total)
+        return np.sqrt(np.maximum(variances, 0.0))
+
+    def estimate_for(self, word: tuple[int, ...]) -> tuple[float, float]:
+        """(estimate, standard error) for one word; (0, 0) if never seen."""
+        i = word_index(word, self.block.alphabet.size, self.block.m)
+        return float(self.block.masses[i]), float(self.std_errors[i])
+
+    def tv_to(self, law: BlockLaw) -> tuple[float, float]:
+        """(plug-in TV distance of ``block`` to ``law``, its standard error).
+
+        Plug-in TV of an empirical law is upward-biased, so it is reported
+        with a standard error rather than corrected.  The error is the
+        delta method's: with g_w = sign(phat_w - q_w) / 2 the TV's gradient
+        in the estimated word masses phat, it is
+        sqrt(sum_i w_i^2 (g[word_i] - sum_w g_w phat_w)^2) over the accepted
+        draws i and their self-normalized weights w_i.  It holds for both
+        methods.  It leaves out the plug-in bias, which matters only on
+        words whose mass lies within a few standard errors of ``law``'s.
+        """
+        g = 0.5 * np.sign(self.block.masses - law.masses)
+        se = math.sqrt(self.weight_sq @ (g - g @ self.block.masses) ** 2)
+        return float(tv_distance(self.block, law)), se
 
 
 def _conditioned_draws(
@@ -265,8 +261,9 @@ def _conditioned_draws(
     method: str,
     seed: int,
     stream_index: int,
-) -> _Draws:
-    """The accepted draws of ``samples`` proposals, summed per first-m word."""
+) -> McEstimate:
+    """The estimate from the accepted draws of ``samples`` proposals on the
+    stream ``stream_index`` of ``seed`` and ``method``."""
     if p.alphabet != c.function.alphabet:
         raise ValueError("constraint and baseline live on different alphabets")
     if not p.strictly_positive:
@@ -293,17 +290,20 @@ def _conditioned_draws(
             f"0 of {samples} proposals met the constraint at n = {n}; "
             "try the tilt-importance method or a wider event"
         )
+    # Every weight is at most 1, and w^2 < w below 1, so the two sums agree
+    # only when every kept weight is 1: then the ESS is the accepted count.
+    equal_weights = mass_sq.sum() == mass.sum()
     total = mass.sum()
     mass /= total
     mass_sq /= total**2
-    ess = float(accepted) if method == "rejection" else 1.0 / float(mass_sq.sum())
+    ess = float(accepted) if equal_weights else 1.0 / float(mass_sq.sum())
     if ess < MIN_ESS:
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} < {MIN_ESS:.0f} at n = {n}; "
             "increase samples or lower n (whole-sequence importance weights "
             "thin out as n grows)"
         )
-    return _Draws(mass, mass_sq, accepted, ess)
+    return McEstimate(BlockLaw(p.alphabet, m, mass), mass_sq, accepted, ess)
 
 
 def sample_conditional_blocks(
@@ -324,67 +324,20 @@ def sample_conditional_blocks(
     :class:`LowEffectiveSampleError` when the effective sample size is
     below 50, no proposal meeting ``c`` included.
     """
-    draws = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
-    block = BlockLaw(p.alphabet, m, draws.mass)
-    w_sq, sq_total = draws.mass_sq, draws.mass_sq.sum()
-    # Weighted Bessel-corrected sampling variance of each indicator mean;
-    # reduces to var(indicator, ddof=1)/accepted for equal weights.
-    variances = (w_sq * (1.0 - block.masses) ** 2 + (sq_total - w_sq) * block.masses**2) / (1.0 - sq_total)
-    return McEstimate(
-        block=block,
-        std_errors=np.sqrt(np.maximum(variances, 0.0)),
-        accepted=draws.accepted,
-        ess=draws.ess,
-    )
+    return _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=0)
 
 
 def window_sweep(
     p: Distribution,
-    h: MomentFunction,
-    alpha: float,
-    schedule: WindowSchedule,
-    n_grid: list[int],
+    windows: list[tuple[int, MomentConstraint]],
     m: int,
     samples: int,
     seed: int = 0,
     method: str = "tilt-importance",
-) -> list[WindowSweepPoint]:
-    """Condition on shrinking windows (alpha - eps_n, alpha + eps_n) along
-    ``n_grid`` and estimate the distance to the product law of the tilt
-    whose mean is alpha.
-
-    The standard error of each TV estimate is the delta method's: with
-    g_w = sign(phat_w - q_w) / 2 the TV's gradient in the estimated word
-    masses phat, it is sqrt(sum_i w_i^2 (g[word_i] - sum_w g_w phat_w)^2)
-    over the accepted draws i and their self-normalized weights w_i.  It
-    holds for both methods.  It leaves out the plug-in bias, which matters
-    only on words whose mass lies within a few standard errors of the
-    product law's.
-    """
-    product = product_block_law(solve_moment_equality(p, h, [alpha]).tilted, m)
-
-    points = []
-    for i, n in enumerate(n_grid):
-        eps = schedule.epsilon(n)
-        c = MomentConstraint(h, "equality", [alpha], epsilon=eps)
-        draws = _conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i)
-        block = BlockLaw(p.alphabet, m, draws.mass)
-        tv = tv_distance(block, product)
-        g = 0.5 * np.sign(block.masses - product.masses)
-        se = math.sqrt(draws.mass_sq @ (g - g @ block.masses) ** 2)
-        points.append(
-            WindowSweepPoint(
-                n=n,
-                epsilon=float(eps),
-                tv_estimate=float(tv),
-                std_error=se,
-                acceptance_rate=draws.accepted / samples,
-                ess=draws.ess,
-                method=method,
-                seed=seed,
-            )
-        )
-    return points
+) -> list[McEstimate]:
+    """One :func:`sample_conditional_blocks` estimate for each ``(n, c)``
+    pair of ``windows``, in order; pair i reads its own stream of ``seed``."""
+    return [_conditioned_draws(p, c, n, m, samples, method, seed, stream_index=i) for i, (n, c) in enumerate(windows)]
 
 
 def rate_fit(records: list[tuple[int, float]]) -> RateFit:

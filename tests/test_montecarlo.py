@@ -181,13 +181,13 @@ def test_sampler_matches_the_exact_block_law_on_every_event_kind(event, method):
     # Over seeds 0-19 the z-scores of the words had SDs 0.94-1.11 per event
     # and method, and none exceeded 3.2 in size.  On an equality of integer
     # statistics every accepted proposal has the same sum of h, so the same
-    # weight, and the ESS is the accepted count up to rounding.
+    # weight, and the ESS is exactly the accepted count.
     p, c, n, m = EVENTS[event]
     est = sample_conditional_blocks(p, c, n, m, 2 * 10**5, method, seed=0)
     exact = conditional_block_law(p, c, n, m)
     assert np.all(np.abs(est.block.masses - exact.masses) <= 4 * est.std_errors)
     if c.kind == "equality":
-        assert est.ess == pytest.approx(est.accepted, rel=1e-12)
+        assert est.ess == est.accepted
 
 
 class WordStream:
@@ -392,8 +392,8 @@ def test_head_count_draws_equal_the_count_row_loop(monkeypatch, method, m, n, en
     got = montecarlo._conditioned_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
     mass, mass_sq, accepted = count_row_draws(law, c, n, m, 2500, method, seed=5, stream_index=1)
     assert got.accepted == accepted
-    np.testing.assert_allclose(got.mass, mass, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got.mass_sq, mass_sq, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.block.masses, mass, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.weight_sq, mass_sq, rtol=1e-12, atol=0)
     if method == "rejection":
         assert got.ess == float(accepted)
     else:
@@ -428,17 +428,41 @@ def test_rejection_ess_is_the_accepted_count(k):
 # -------------------------------------------------------------------- sweeps
 
 
+def schedule_windows(alpha: float, schedule: WindowSchedule, grid: list[int]) -> list[tuple[int, MomentConstraint]]:
+    """The (n, window) pairs of a shrinking schedule around alpha on the coin."""
+    return [(n, window(alpha, schedule.epsilon(n))) for n in grid]
+
+
+def coin_limit(m: int):
+    """The m-fold product of the coin's tilt to mean 0.75, as ``windows`` builds it."""
+    return product_block_law(i_project(COIN, MomentConstraint(COIN_H, "equality", [0.75])).tilted, m)
+
+
 def test_window_sweep_shrinking_trend():
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
-    points = window_sweep(
-        COIN, COIN_H, 0.75, schedule, [25, 50, 100, 150], m=1, samples=4 * 10**5, seed=0
-    )
-    assert [pt.n for pt in points] == [25, 50, 100, 150]
-    assert all(pt.epsilon == pytest.approx(0.5 * pt.n**-0.25) for pt in points)
-    first, last = points[0], points[-1]
-    allowance = math.hypot(first.std_error, last.std_error)
-    assert last.tv_estimate < first.tv_estimate + allowance
-    assert all(pt.ess >= 50 for pt in points)
+    windows = schedule_windows(0.75, schedule, [25, 50, 100, 150])
+    estimates = window_sweep(COIN, windows, m=1, samples=4 * 10**5, seed=0)
+    assert len(estimates) == len(windows)
+    assert all(c.epsilon == pytest.approx(0.5 * n**-0.25) for n, c in windows)
+    limit = coin_limit(1)
+    (first_tv, first_se), (last_tv, last_se) = estimates[0].tv_to(limit), estimates[-1].tv_to(limit)
+    assert last_tv < first_tv + math.hypot(first_se, last_se)
+    assert all(est.ess >= 50 for est in estimates)
+
+
+@pytest.mark.parametrize("method", ["rejection", "tilt-importance"])
+@pytest.mark.parametrize(
+    "p, c, n, m", [(COIN, window(0.75, 0.15), 50, 2), (DIE, window(4.5, 0.5, DIE_H), 20, 1)], ids=["k2", "k6"]
+)
+def test_window_sweep_is_sample_conditional_blocks_per_grid_point(p, c, n, m, method):
+    # Grid point 0 reads the stream of a lone call; grid point 1, on the same
+    # constraint, reads its own stream.
+    first, second = window_sweep(p, [(n, c), (n, c)], m, 5000, seed=3, method=method)
+    alone = sample_conditional_blocks(p, c, n, m, 5000, method, seed=3)
+    assert np.array_equal(first.block.masses, alone.block.masses)
+    assert np.array_equal(first.weight_sq, alone.weight_sq)
+    assert (first.accepted, first.ess) == (alone.accepted, alone.ess)
+    assert not np.array_equal(second.block.masses, alone.block.masses)
 
 
 def test_window_sweep_degenerate_weights_raise():
@@ -447,7 +471,7 @@ def test_window_sweep_degenerate_weights_raise():
     # sweep must refuse to publish such an estimate.
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
     with pytest.raises(LowEffectiveSampleError, match="effective sample size"):
-        window_sweep(COIN, COIN_H, 0.75, schedule, [10**5], m=1, samples=1000, seed=0)
+        window_sweep(COIN, schedule_windows(0.75, schedule, [10**5]), m=1, samples=1000, seed=0)
 
 
 def test_window_sweep_reaches_large_n_within_4_se_of_the_exact_oracle():
@@ -455,50 +479,50 @@ def test_window_sweep_reaches_large_n_within_4_se_of_the_exact_oracle():
     # to each window's near end keeps the weights usable, and every point
     # agrees with the exact conditional law.
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
-    grid = [25, 50, 100, 150, 200, 400, 1600, 10**4]
-    points = window_sweep(COIN, COIN_H, 0.75, schedule, grid, m=1, samples=4 * 10**5, seed=0)
-    product = product_block_law(Distribution.bernoulli(0.75), 1)
-    for pt in points:
-        exact = conditional_block_law(COIN, window(0.75, pt.epsilon), pt.n, 1)
-        assert abs(pt.tv_estimate - tv_distance(exact, product)) <= 4 * pt.std_error
-        assert pt.ess >= 50
+    windows = schedule_windows(0.75, schedule, [25, 50, 100, 150, 200, 400, 1600, 10**4])
+    estimates = window_sweep(COIN, windows, m=1, samples=4 * 10**5, seed=0)
+    product = coin_limit(1)
+    for (n, c), est in zip(windows, estimates):
+        tv, se = est.tv_to(product)
+        assert abs(tv - tv_distance(conditional_block_law(COIN, c, n, 1), product)) <= 4 * se
+        assert est.ess >= 50
 
 
 def test_window_sweep_standard_error_is_calibrated():
-    # z = (tv_estimate - exact tv) / std_error over 400 fixed seeds and two
+    # z = (tv estimate - exact tv) / its SE over 400 fixed seeds and two
     # windows per method.  For a calibrated SE the SD of these 800 z-scores
     # is 1 with a sampling error of 1/sqrt(2 * 799) = 0.025, and the band is
     # 4 of those wide on each side.  The delta-method SE reads 0.995
     # (rejection) and 0.991 (tilt-importance) here; the 10-batch SE that it
     # replaced, t-distributed with 9 degrees of freedom, read 1.13 and 1.12.
     schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
-    grid, m = [25, 50], 2
-    product = product_block_law(Distribution.bernoulli(0.75), m)
-    exact = {n: tv_distance(conditional_block_law(COIN, window(0.75, schedule.epsilon(n)), n, m), product) for n in grid}
+    windows, m = schedule_windows(0.75, schedule, [25, 50]), 2
+    product = coin_limit(m)
+    exact = [tv_distance(conditional_block_law(COIN, c, n, m), product) for n, c in windows]
     for method in ("rejection", "tilt-importance"):
         z = [
-            (pt.tv_estimate - exact[pt.n]) / pt.std_error
+            (tv - exact_tv) / se
             for seed in range(400)
-            for pt in window_sweep(COIN, COIN_H, 0.75, schedule, grid, m, 2 * 10**4, seed=seed, method=method)
+            for exact_tv, est in zip(exact, window_sweep(COIN, windows, m, 2 * 10**4, seed=seed, method=method))
+            for tv, se in [est.tv_to(product)]
         ]
         assert 0.9 <= np.std(z, ddof=1) <= 1.1, method
 
 
 def test_window_sweep_unreachable_target_is_a_typed_infeasibility():
-    schedule = WindowSchedule(amplitude=0.5, exponent=0.25)
+    # The limit of a sweep is the I-projection onto its unwindowed target.
     with pytest.raises(InfeasibleConstraintError, match="not reachable by a tilt"):
-        window_sweep(COIN, COIN_H, 1.0, schedule, [25], m=1, samples=2000, seed=0)
+        i_project(COIN, MomentConstraint(COIN_H, "equality", [1.0]))
 
 
 def test_window_sweep_fixed_window_plateaus():
     # A nearly constant window that does not contain the baseline mean: the
     # conditional law stabilizes away from the tilt at the window center.
     schedule = WindowSchedule(amplitude=0.15, exponent=0.01)
-    points = window_sweep(
-        COIN, COIN_H, 0.75, schedule, [50, 100, 200], m=1,
-        samples=2 * 10**5, seed=0, method="rejection",
+    estimates = window_sweep(
+        COIN, schedule_windows(0.75, schedule, [50, 100, 200]), m=1, samples=2 * 10**5, seed=0, method="rejection"
     )
-    assert min(pt.tv_estimate for pt in points) > 0.05
+    assert min(est.tv_to(coin_limit(1))[0] for est in estimates) > 0.05
 
 
 # ------------------------------------------------------------------ rate fit

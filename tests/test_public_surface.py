@@ -22,7 +22,7 @@ CALLERS = (ROOT / "perfbench" / "check.py", ROOT / "tests" / "test_acceptance.py
 MODULES = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
 # Members kept without a caller, each with the reason.
 EXEMPT_MEMBERS = {
-    # read by ROADMAP items 2 and 11; delete this entry when one lands
+    # read by ROADMAP items 3 and 9; delete this entry when one lands
     "exact.ConditionalWeights.event_log_prob",
 }
 
