@@ -218,7 +218,7 @@ def tv_distance(p: Distribution | BlockLaw, q: Distribution | BlockLaw) -> float
         raise TypeError("tv_distance needs two distributions or two block laws")
     if isinstance(p, BlockLaw) and p.m != q.m:
         raise ValueError(f"block lengths differ: {p.m} vs {q.m}")
-    return 0.5 * math.fsum(np.abs(p.masses - q.masses))
+    return 0.5 * math.fsum(np.abs(p.masses - q.masses).tolist())
 
 
 def product_block_law(p: Distribution, m: int) -> BlockLaw:

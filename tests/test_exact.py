@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
@@ -698,3 +698,92 @@ def test_word_classes_are_the_distinct_count_rows_of_the_words(k, m):
     counts = np.stack([(words == j).sum(axis=0) for j in range(k)], axis=1)
     assert np.array_equal(classes[inverse], counts)
     assert len(classes) == math.comb(m + k - 1, m) == len(np.unique(classes, axis=0))
+
+
+# ------------------------------------------------------ sum-lattice TV
+
+THREE_H = MomentFunction(Alphabet.of_size(3), np.array([0.0, 1.0, 2.0]))
+THREE = Distribution(THREE_H.alphabet, np.array([0.5, 0.3, 0.2]))
+SKEWED = Distribution(THREE_H.alphabet, np.array([1 - 2e-20, 1e-20, 1e-20]))
+
+def mixture_tv(p: Distribution, c: MomentConstraint, n: int, m: int) -> float:
+    """The sweep's TV through the dense word mixture."""
+    star = i_project(p, c).tilted
+    return tv_distance(exact._block_from_weights(conditional_weights(p, c, n), m), product_block_law(star, m))
+
+
+def lattice_pays(c: MomentConstraint, n: int, m: int, feasible: int) -> bool:
+    """The lattice rule, from h's values one by one: a scalar integer h whose
+    m r + 1 block sums, r its span over the gcd of its steps, are fewer than
+    the C(m+k-1, k-1) count classes, and whose (n r)^2 convolution products
+    are fewer than the mixture's feasible types x classes cells."""
+    values = c.function.table[:, 0].tolist()
+    if c.function.dimension != 1 or any(v != round(v) for v in values):
+        return False
+    low = min(values)
+    span = round(max(values) - low) // math.gcd(*(round(v - low) for v in values))
+    classes = math.comb(m + len(values) - 1, m)
+    return m * span + 1 < classes and (n * span) ** 2 < feasible * classes
+
+
+@st.composite
+def lattice_problem(draw):
+    """A baseline on k = 3..5 symbols, a non-constant integer h in -3..3, an
+    equality or window at the mean of a type of size n <= 40, or a
+    halfspace, and a block length m = 1..3."""
+    k = draw(st.integers(3, 5))
+    masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    p = Distribution(Alphabet.of_size(k), masses / masses.sum())
+    table = np.array(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=float)
+    assume(table.max() > table.min())
+    h = MomentFunction(p.alphabet, table)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(3, 40))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+    target = float(np.diff([0, *cuts, n]) @ table / n)
+    assume(table.min() < target < table.max())
+    kind = draw(st.sampled_from(["equality", "halfspace", "window"]))
+    if kind == "window":
+        epsilon = draw(st.floats(0.05, 1.0))
+        assume(table.min() < target - epsilon and target + epsilon < table.max())
+        return p, MomentConstraint(h, "equality", [target], epsilon=epsilon), n, m
+    return p, MomentConstraint(h, kind, [target]), n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_problem())
+@example((DIE, MomentConstraint(DIE_H, "halfspace", [4.5]), 30, 3))
+@example((DIE, MomentConstraint(DIE_H, "halfspace", [4.5]), 24, 5))
+def test_lattice_tv_equals_the_word_mixture(problem):
+    # Given S_n, a block's law is the same under every tilt of the baseline,
+    # so the TV over the block's sums is the TV over its words.
+    p, c, n, m = problem
+    weights = conditional_weights(p, c, n)
+    tv = exact._lattice_tv(weights, m, i_project(p, c).tilted)
+    assert (tv is not None) == lattice_pays(c, n, m, len(weights.types))
+    if tv is not None:
+        assert tv == pytest.approx(mixture_tv(p, c, n, m), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p,c,m,n",
+    [
+        (DIE, MomentConstraint(DIE_H2, "equality", [4.5, 0.5]), 3, 12),
+        (RAND4, MomentConstraint(RAND4_H, "halfspace", [1.2]), 3, 11),
+        (COIN, MEAN_AT_LEAST_3_4, 5, 40),
+        (DIE, MomentConstraint(MomentFunction(DIE.alphabet, [0, 1, 1, 2, 3, 60]), "halfspace", [4.0]), 2, 9),
+        # 5 sums against 6 classes, but (2n)^2 = 640,000 convolution
+        # products against 161 feasible types x 6 classes.
+        (THREE, MomentConstraint(THREE_H, "equality", [1.2]), 2, 400),
+        # Past both terms of the rule, (2n)^2 = 1,024 < 153 types x 10
+        # classes, but q_n(32) = 1e-320 is below the smallest normal float.
+        (SKEWED, MomentConstraint(THREE_H, "halfspace", [0.0]), 3, 16),
+    ],
+    ids=["d2", "non-integer-h", "coin", "wide-span", "long-equality", "underflow"],
+)
+def test_sweep_keeps_the_word_mixture_off_the_lattice(p, c, m, n):
+    # Bit for bit the TV of the dense mixture, as before the sum lattice.
+    weights = conditional_weights(p, c, n)
+    assert exact._lattice_tv(weights, m, i_project(p, c).tilted) is None
+    assert lattice_pays(c, n, m, len(weights.types)) == (p is SKEWED)
+    (record,) = convergence_sweep(p, c, m, [n])
+    assert record.tv == mixture_tv(p, c, n, m)

@@ -4,10 +4,10 @@ the files are rewritten, shows as a diff of ``tests/golden/``.
 
 The runs are the subcommands at their defaults in both formats, the
 benchmark workload configs, read in place, and a few configs that reach the
-paths the defaults miss: k > 2 and non-integer h in the samplers, and the
-exact oracle's large-n mixture.  ``versions.json`` records the Python and
-numpy that wrote the files; a mismatch names both, since floating-point
-bytes may move with either.
+paths the defaults miss: k > 2 and non-integer h in the samplers, the exact
+oracle's large-n mixture and the sweep's TV over a die block's sums.
+``versions.json`` records the Python and numpy that wrote the files; a
+mismatch names both, since floating-point bytes may move with either.
 
 Rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -45,6 +45,7 @@ def golden_runs() -> dict[str, list[str]]:
     runs["theorem1-halfspace-m7.json"] = [
         "theorem1", "--kind", "halfspace", "--target", "0.75", "--m", "7", "--n-grid", "400:600:100"
     ]
+    runs["theorem1-die-halfspace.json"] = ["theorem1", "--config", str(CONFIGS / "theorem1-die-halfspace.json")]
     return runs
 
 
