@@ -13,7 +13,11 @@ Two checks connect this to the discrete tilting machinery:
 * conditioning a long sequence on its empirical mean and variance lying in
   small windows around (m, v) drives the pooled law of leading coordinates
   to N(m, v) -- the two-moment analogue of window conditioning on finite
-  alphabets, measured with a Kolmogorov-Smirnov distance.  Given its mean and
+  alphabets, measured with a Kolmogorov-Smirnov distance.  Given the latent
+  pair the mean and variance are independent with closed-form laws, so each
+  atom's chance of landing in both windows is known and only the accepted
+  sequences' statistics are drawn: one multinomial gives each atom's accepted
+  count, then each statistic is drawn inside its window.  Given its mean and
   variance a sequence is uniform on a sphere, whatever the mixing law, so
   only accepted sequences get leading coordinates drawn.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +50,7 @@ _STREAM_CONDITION = 12
 # small enough for a tile's arrays to stay in cache.
 _TILE_CELLS = 2**16
 _KS_STRIDE = 64  # the KS distance evaluates the normal CDF at every 64th sorted point first
+_LENTZ_TINY = 1e-300  # stands in for a zero denominator in the modified Lentz algorithm
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,9 @@ def empirical_limits(values: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
-@dataclass(frozen=True)
-class CfCheckReport:
-    """Empirical vs closed-form characteristic function on a t-grid."""
+class CfCheckReport(NamedTuple):
+    """Empirical vs closed-form characteristic function on a t-grid.  As a
+    NamedTuple it unpacks as (t_grid, empirical, exact, max_deviation)."""
 
     t_grid: tuple[float, ...]
     empirical: tuple[float, ...]
@@ -147,13 +153,12 @@ def radial_cf_check(
     )
 
 
-@dataclass(frozen=True)
-class TwoMomentReport:
+class TwoMomentReport(NamedTuple):
     """Outcome of conditioning on empirical mean and variance windows.
 
     ``ks_statistic`` is the one-sample Kolmogorov-Smirnov distance of the
     pooled leading coordinates of the accepted sequences from the Gaussian
-    with the target moments.
+    with the target moments.  As a NamedTuple it unpacks in field order.
     """
 
     epsilon: float
@@ -210,27 +215,110 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 def _ks_normal(sample: np.ndarray, mean: float, sd: float) -> float:
     """One-sample Kolmogorov-Smirnov distance of ``sample`` from N(mean, sd^2),
     bit for bit as ``scipy.stats.kstest``: the largest gap max((i+1)/n - F_i,
-    F_i - i/n) at a sorted point i.  F is evaluated at every ``_KS_STRIDE``-th
-    point first.  F and i/n rise, so a point strictly between two such knots
-    a < b has a gap below max((b+1)/n - F_a, F_b - a/n), with 1/n to spare for
-    rounding; F is evaluated inside a segment only if that reaches the largest gap."""
-    z = (np.sort(sample) - mean) / sd
-    size = z.size
+    F_i - i/n) at a sorted point i.  ``sample`` is sorted in place, so its
+    order is lost.  F is evaluated at every ``_KS_STRIDE``-th point first.
+    F and i/n rise, so a point strictly between two such knots a < b has a
+    gap below max((b+1)/n - F_a, F_b - a/n), with 1/n to spare for rounding;
+    F is evaluated inside a segment only if that reaches the largest gap."""
+    sample.sort()
+    size = sample.size
     knots = np.append(np.arange(0, size - 1, _KS_STRIDE), size - 1)
-    cdf = _ndtr(z[knots])
+    cdf = _ndtr((sample[knots] - mean) / sd)
     best = np.maximum((knots + 1.0) / size - cdf, cdf - knots / size).max()
     reach = np.maximum((knots[1:] + 1.0) / size - cdf[:-1], cdf[1:] - knots[:-1] / size) >= best
     rows = np.minimum(knots[:-1][reach, None] + np.arange(1, _KS_STRIDE), size - 1).ravel()
-    cdf = _ndtr(z[rows])
+    cdf = _ndtr((sample[rows] - mean) / sd)
     return float(np.maximum((rows + 1.0) / size - cdf, cdf - rows / size).max(initial=best))
 
 
-def _row_statistics(g: MixingLaw, n: int, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of :func:`_accepted_blocks`: the mean and (1/n) variance of ``rows`` sequences."""
+def _gamma_cdf(a: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete gamma pair (P(a, x), Q(a, x)), P + Q = 1:
+    P by its series below x = a + 1, Q by its continued fraction (modified
+    Lentz) above, and the other as the complement, so the smaller tail keeps
+    its relative accuracy.  From a = 10 on, the prefactor x^a e^-x / Gamma(a)
+    takes Gamma's Stirling series, so the large terms a log x, x and
+    lgamma(a) never cancel.  Raises ``RuntimeError`` rather than return an
+    unconverged value."""
+    if x <= 0.0:
+        return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
+    if a >= 10.0:
+        t, r = (x - a) / a, 1.0 / (a * a)
+        stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / a
+        front = math.exp(0.5 * math.log(a / (2 * math.pi)) - stirling - a * (t - math.log1p(t)))
+    else:
+        front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    terms = 200 + int(20 * math.sqrt(a))  # at most 10 sqrt(a) + 60 were needed on a grid of a in [0.5, 1e8]
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, terms):
+            term *= x / (a + k)
+            total += term
+            if term <= total * 1e-17:
+                return front * total, 1.0 - front * total
+    else:
+        b, c, d = x + 1.0 - a, 1.0 / _LENTZ_TINY, 1.0 / (x + 1.0 - a)
+        h = d
+        for k in range(1, terms):
+            b += 2.0
+            d, c = b - k * (k - a) * d, b - k * (k - a) / c
+            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            h *= d * c
+            if abs(d * c - 1.0) <= 1e-16:
+                return 1.0 - front * h, front * h
+    raise RuntimeError(f"the incomplete gamma function did not converge at a={a}, x={x}")
+
+
+def _window_probabilities(
+    g: MixingLaw, targets: tuple[float, float], epsilon: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's probabilities that a row's mean, N(M, V/n), and its (1/n)
+    variance, (V/n) chi^2_{n-1}, fall in their open windows.  Each is a
+    difference of upper-tail values when the window lies above the median
+    and of lower-tail values otherwise, so a window far in either tail keeps
+    its relative accuracy."""
+    target_mean, target_var = targets
+    p_mean, p_var = [], []
+    for m, v, _ in g.atoms:
+        scale = math.sqrt(2 * v / n)  # P(N(m, v/n) > y) = erfc((y - m) / scale) / 2
+        lo, hi = (target_mean - epsilon - m) / scale, (target_mean + epsilon - m) / scale
+        tails = math.erfc(lo) - math.erfc(hi) if lo >= 0 else math.erfc(-hi) - math.erfc(-lo)
+        p_mean.append(max(0.0, 0.5 * tails))
+        lo, hi = max(0.0, target_var - epsilon) * n / (2 * v), (target_var + epsilon) * n / (2 * v)
+        (p_lo, q_lo), (p_hi, q_hi) = _gamma_cdf((n - 1) / 2, lo), _gamma_cdf((n - 1) / 2, hi)
+        p_var.append(max(0.0, p_hi - p_lo if p_lo < 0.5 else q_lo - q_hi))
+    return np.array(p_mean), np.array(p_var)
+
+
+def _window_draws(draw, centre: float, epsilon: float, p: float, count: int) -> np.ndarray:
+    """The first ``count`` values of ``draw(size)`` in (centre - epsilon,
+    centre + epsilon), in draw order, where a value lands there with
+    probability p > 0: batches of the expected need, at most ``_TILE_CELLS``."""
+    kept, found = [np.empty(0)], 0
+    while found < count:
+        values = draw(math.ceil(min(_TILE_CELLS, (count - found) / p)))
+        kept.append(values[np.abs(values - centre) < epsilon])
+        found += kept[-1].size
+    return np.concatenate(kept)[:count]
+
+
+def _accepted_statistics(
+    g: MixingLaw, targets: tuple[float, float], epsilon: float, n: int, samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of :func:`_accepted_blocks`: the mean and (1/n) variance of the accepted rows, grouped by atom."""
     means, variances, weights = np.array(g.atoms).T
-    counts = rng.multinomial(rows, weights / weights.sum())
-    means, variances = np.repeat(means, counts), np.repeat(variances, counts) / n
-    return means + np.sqrt(variances) * rng.standard_normal(rows), variances * rng.chisquare(n - 1, rows)
+    p_mean, p_var = _window_probabilities(g, targets, epsilon, n)
+    accept = p_mean * p_var
+    cells = np.column_stack((weights * accept, weights * (1.0 - accept))).ravel()
+    counts = rng.multinomial(samples, cells / cells.sum())[::2]
+    emp_mean, emp_var = [], []
+    for m, v, count, pm, pv in zip(means, variances / n, counts.tolist(), p_mean, p_var):
+        sd = math.sqrt(v)
+        emp_mean.append(_window_draws(lambda size: m + sd * rng.standard_normal(size), targets[0], epsilon, pm, count))
+        emp_var.append(_window_draws(lambda size: v * rng.chisquare(n - 1, size), targets[1], epsilon, pv, count))
+    return np.concatenate(emp_mean), np.concatenate(emp_var)
 
 
 def _sphere_blocks(mean: np.ndarray, var: np.ndarray, n: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -263,27 +351,29 @@ def _accepted_blocks(
 ) -> np.ndarray:
     """Draw ``samples`` sequences of length ``n``; return the first ``block``
     coordinates of those whose empirical mean and variance lie in the open
-    windows, one row per accepted sequence in draw order.
+    windows, one row per accepted sequence, grouped by atom.
 
     Given the latent pair (M, V), the mean and (1/n) variance are independent,
     N(M, V/n) and (V/n) chi^2_{n-1}, and given both the sequence is
     mean + sqrt(n variance) U with U uniform on the unit sphere of the sum-zero
-    hyperplane, whatever the mixing law.  So stage 1 draws, tile by tile, the
-    atom counts (one multinomial; rows come grouped by atom), then one normal
-    and one chi-square per row.  Stage 2 then draws U for the accepted rows
-    only, tile by tile, as Z - mean(Z) normalised for a standard normal Z: the
-    block's normals (row-major), one tail-sum normal N(0, r) per row and, if
+    hyperplane, whatever the mixing law.  So each atom's proposal is accepted
+    with the closed-form probability p_mean p_var of its two windows, and
+    stage 1 draws the statistics of the accepted rows only: one multinomial
+    over the cells (atom, accepted) and (atom, rejected), then for each atom
+    in turn its A accepted means and A accepted variances, each the first A
+    draws of N(M, V/n) or (V/n) chi^2_{n-1} inside its window.  That costs
+    N p_var normals and N p_mean chi-squares in expectation for an atom that
+    N proposals reach, never more than the N of each that every proposal
+    would draw; an atom of tiny p that still gets A >= 1 (probability about
+    N p) costs about 1/p draws, in batches of at most ``_TILE_CELLS``.
+    Stage 2 then draws U for the accepted rows, tile by tile, as
+    Z - mean(Z) normalised for a standard normal Z: the block's normals
+    (row-major), one tail-sum normal N(0, r) per row and, if
     r = n - block >= 2, one tail chi^2_{r-1} per row, pooled by Cochran's
     theorem as SS_block + SS_tail + (block r / n) (mean_block - mean_tail)^2.
     """
-    target_mean, target_var = targets
+    emp_mean, emp_var = _accepted_statistics(g, targets, epsilon, n, samples, rng)
     tile_rows = max(1, _TILE_CELLS // (block + 1))
-    kept = []
-    for start in range(0, samples, tile_rows):
-        emp_mean, emp_var = _row_statistics(g, n, min(tile_rows, samples - start), rng)
-        keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
-        kept.append((emp_mean[keep], emp_var[keep]))
-    emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
     lead = np.empty((emp_mean.size, block))
     for start in range(0, emp_mean.size, tile_rows):
         rows = slice(start, start + tile_rows)
@@ -306,9 +396,9 @@ def condition_two_moments(
     N(m, v).
     """
     target_mean, target_var = targets
-    if target_var <= 0:
+    if not target_var > 0:
         raise ValueError(f"target variance must be > 0, got {target_var}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"window half-width must be > 0, got {epsilon}")
     if not (1 <= block <= n):
         raise ValueError(f"need 1 <= block <= n, got block={block}, n={n}")

@@ -13,9 +13,12 @@ from tiltlab.rng import stream
 from tiltlab.scale_mixtures import (
     MixingLaw,
     _accepted_blocks,
+    _accepted_statistics,
+    _gamma_cdf,
     _ks_normal,
-    _row_statistics,
     _sphere_blocks,
+    _window_draws,
+    _window_probabilities,
     condition_two_moments,
     empirical_limits,
     radial_cf_check,
@@ -142,17 +145,11 @@ def _full_draw_sample(g, targets, epsilon, n, block, samples, rng, chunk_rows=10
 def _tiled_sample(g, targets, epsilon, n, block, samples, seed):
     """The library sampler's accepted rows with their statistics, checked
     to be the rows that ``_accepted_blocks`` returns for the same stream:
-    stage 1 over every tile of proposals, then stage 2 over tiles of the
-    accepted rows, each tile at most ``_TILE_CELLS // (block + 1)`` rows."""
-    target_mean, target_var = targets
+    stage 1 draws the accepted rows' statistics, grouped by atom, then
+    stage 2 runs over tiles of them, each at most ``_TILE_CELLS // (block + 1)`` rows."""
     rng = stream(seed, scale_mixtures._STREAM_CONDITION)
     tile_rows = max(1, scale_mixtures._TILE_CELLS // (block + 1))
-    kept = []
-    for start in range(0, samples, tile_rows):
-        emp_mean, emp_var = _row_statistics(g, n, min(tile_rows, samples - start), rng)
-        keep = (np.abs(emp_mean - target_mean) < epsilon) & (np.abs(emp_var - target_var) < epsilon)
-        kept.append((emp_mean[keep], emp_var[keep]))
-    emp_mean, emp_var = (np.concatenate(part) for part in zip(*kept))
+    emp_mean, emp_var = _accepted_statistics(g, targets, epsilon, n, samples, rng)
     lead = np.empty((emp_mean.size, block))
     for start in range(0, emp_mean.size, tile_rows):
         rows = slice(start, start + tile_rows)
@@ -233,9 +230,11 @@ def test_combined_statistics_have_exact_first_two_moments(n, block):
     # Point mixing: the row mean is N(M, V/n) and n * variance / V is
     # chi^2_{n-1}, so E mean = M, Var mean = V/n, E var = (n-1)V/n and
     # Var var = 2(n-1)V^2/n^2.  Each is checked within 4 standard errors.
+    # Accept-all windows keep every row's statistics.
     m, v, rows = 0.3, 2.0, 2 * 10**5
     rng = stream(17, scale_mixtures._STREAM_CONDITION)
-    emp_mean, emp_var = _row_statistics(MixingLaw.point(m, v), n, rows, rng)
+    emp_mean, emp_var = _accepted_statistics(MixingLaw.point(m, v), (m, v), ACCEPT_ALL, n, rows, rng)
+    assert emp_mean.size == emp_var.size == rows
     for values, mean, variance in [
         (emp_mean, m, v / n),
         (emp_var, (n - 1) * v / n, 2 * (n - 1) * v * v / n**2),
@@ -269,23 +268,39 @@ def test_whole_sequence_blocks_have_their_row_statistics(n):
     np.testing.assert_allclose(limits[:, 1], emp_var, rtol=1e-12)
 
 
+def _replay_window_draws(draw, centre, p, count):
+    """The first ``count`` draws in (centre - 1, centre + 1), drawn in
+    batches of ceil(min(_TILE_CELLS, still needed / p)) and kept one by one."""
+    kept = []
+    while len(kept) < count:
+        batch = draw(math.ceil(min(scale_mixtures._TILE_CELLS, (count - len(kept)) / p)))
+        kept += [x for x in batch.tolist() if abs(x - centre) < 1.0]
+    return kept[:count]
+
+
 @pytest.mark.parametrize("n, block", [(2, 1), (2, 2), (10, 8), (10, 9), (10, 10)])
 def test_tile_draws_in_documented_order(n, block):
-    # Stage 1: the atom counts, one mean normal per row, one chi-square per
-    # row.  Stage 2, for the accepted rows: the block's normals row-major, one
+    # Stage 1: one multinomial over the cells (atom, accepted), (atom,
+    # rejected); then for each atom its accepted means, then its accepted
+    # variances, each drawn in batches and kept while inside the window.
+    # Stage 2, for the accepted rows: the block's normals row-major, one
     # tail-sum normal per row, then one chi-square per row only when the tail
     # has two coordinates or more.
     g = MixingLaw.discrete([(0.2, 1.0, 0.5), (-0.3, 3.0, 0.5)])
     rows, rest = 37, n - block
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     lead = _accepted_blocks(g, (0.0, 1.0), 1.0, n, block, rows, rng)
-    counts = replay.multinomial(rows, [0.5, 0.5])
-    means, variances = np.repeat([0.2, -0.3], counts), np.repeat([1.0, 3.0], counts) / n
-    emp_mean = means + np.sqrt(variances) * replay.standard_normal(rows)
-    emp_var = variances * replay.chisquare(n - 1, rows)
-    keep = (np.abs(emp_mean) < 1.0) & (np.abs(emp_var - 1.0) < 1.0)
-    emp_mean, emp_var, accepted = emp_mean[keep], emp_var[keep], int(keep.sum())
-    assert 0 < accepted < rows
+    p_mean, p_var = _window_probabilities(g, (0.0, 1.0), 1.0, n)
+    accept = p_mean * p_var
+    cells = np.array([0.5 * accept[0], 0.5 * (1 - accept[0]), 0.5 * accept[1], 0.5 * (1 - accept[1])])
+    counts = replay.multinomial(rows, cells / cells.sum())[::2]
+    emp_mean, emp_var = [], []
+    for (m, v), count, pm, pv in zip([(0.2, 1.0), (-0.3, 3.0)], counts, p_mean, p_var):
+        sd = math.sqrt(v / n)
+        emp_mean += _replay_window_draws(lambda size: m + sd * replay.standard_normal(size), 0.0, pm, count)
+        emp_var += _replay_window_draws(lambda size: v / n * replay.chisquare(n - 1, size), 1.0, pv, count)
+    emp_mean, emp_var, accepted = np.array(emp_mean), np.array(emp_var), int(counts.sum())
+    assert 0 < accepted < rows and counts.min() > 0
     z = replay.standard_normal((accepted, block))
     tail_sum = math.sqrt(rest) * replay.standard_normal(accepted) if rest else 0.0
     tail_ss = replay.chisquare(rest - 1, accepted) if rest >= 2 else 0.0
@@ -300,16 +315,91 @@ def test_tile_draws_in_documented_order(n, block):
 
 
 def test_empty_stage_two_draws_nothing():
-    # The V = 4 atom of the default law is never accepted at the criterion-8
-    # windows; with no accepted row, stage 2 draws nothing.
-    rng = np.random.default_rng(7)
-    emp_mean, emp_var = _row_statistics(MixingLaw.point(0.0, 4.0), 200, 5000, rng)
-    keep = (np.abs(emp_mean) < 0.1) & (np.abs(emp_var - 1.0) < 0.1)
-    assert not keep.any()
-    state = rng.bit_generator.state
-    assert _sphere_blocks(emp_mean[keep], emp_var[keep], 200, rng, np.empty((0, 5))).shape == (0, 5)
-    assert rng.bit_generator.state == state
-    assert _accepted_blocks(MixingLaw.point(0.0, 4.0), (0.0, 1.0), 0.1, 200, 5, 5000, rng).shape == (0, 5)
+    # The V = 4 atom of the default law is accepted at the criterion-8
+    # windows with probability below 1e-25, so its count is 0: the sampler
+    # draws the multinomial and nothing else.
+    g = MixingLaw.point(0.0, 4.0)
+    p_mean, p_var = _window_probabilities(g, (0.0, 1.0), 0.1, 200)
+    assert 0 < p_mean[0] * p_var[0] < 1e-25
+    rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+    assert _accepted_blocks(g, (0.0, 1.0), 0.1, 200, 5, 5000, rng).shape == (0, 5)
+    replay.multinomial(5000, [p_mean[0] * p_var[0], 1 - p_mean[0] * p_var[0]])
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert _sphere_blocks(np.empty(0), np.empty(0), 200, rng, np.empty((0, 5))).shape == (0, 5)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert _window_draws(None, 0.0, 0.1, 0.0, 0).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "centre, epsilon, count, first", [(200_000.0, 0.5, 1, 200_000), (150_000.0, 60_000.0, 3, 90_001)]
+)
+def test_window_draws_of_a_tiny_probability_terminate_in_bounded_batches(centre, epsilon, count, first):
+    # A stand-in generator that draws 0, 1, 2, ... in turn.  At p = 1e-30 the
+    # expected need is far beyond a tile, so every batch is a full tile, and
+    # the draw stops at the batch that holds the count-th passer.
+    sizes = []
+
+    def draw(size):
+        sizes.append(size)
+        return np.arange(sum(sizes) - size, sum(sizes), dtype=float)
+
+    kept = _window_draws(draw, centre, epsilon, 1e-30, count)
+    assert kept.tolist() == list(range(first, first + count))
+    assert set(sizes) == {scale_mixtures._TILE_CELLS}
+    assert len(sizes) == first // scale_mixtures._TILE_CELLS + 1
+    # at p = 1/4 the first batch is the expected need
+    sizes.clear()
+    assert _window_draws(draw, 2.0, 3.0, 0.25, 5).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert sizes == [20]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 4.5, 9.5, 10.0, 10.5, 99.5, 999.5, 32767.5, 50_000.0])
+def test_gamma_cdf_equals_scipy_gammainc(a):
+    # Both tails, and so the smaller of P and 1 - P, on x in [0, 3a] and
+    # around the switch from the series to the continued fraction at a + 1.
+    points = np.concatenate([np.linspace(0.0, 3 * a, 121), a + 1 + np.array([-1e-9, 0.0, 1e-9])])
+    for x in points.tolist():
+        lower, upper = _gamma_cdf(a, x)
+        assert abs(lower - special.gammainc(a, x)) <= 1e-12, x
+        assert abs(upper - special.gammaincc(a, x)) <= 1e-12, x
+
+
+def test_gamma_cdf_raises_rather_than_return_an_unconverged_value():
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _gamma_cdf(2.5, math.nan)
+    assert _gamma_cdf(2.5, math.inf) == _gamma_cdf(99.5, math.inf) == (1.0, 0.0)
+
+
+def test_infinite_windows_accept_every_row_and_nan_windows_are_refused():
+    report = condition_two_moments(TWO_ATOM, (0.0, 1.0), math.inf, 10, 2, 100)
+    assert report.accepted == 100
+    for targets, epsilon in [((0.0, 1.0), math.nan), ((0.0, math.nan), 0.1)]:
+        with pytest.raises(ValueError, match="must be > 0, got nan"):
+            condition_two_moments(TWO_ATOM, targets, epsilon, 10, 2, 100)
+
+
+@pytest.mark.parametrize(
+    "atom, epsilon, n",
+    [
+        ((0.0, 1.0), 0.1, 200),  # the criterion-8 atoms
+        ((0.0, 4.0), 0.1, 200),  # a chi-square window far in the lower tail
+        ((0.0, 0.25), 0.1, 200),  # far in the upper tail
+        ((2.0, 1.0), 0.1, 200),  # a mean window far in the lower tail
+        ((-2.0, 1.0), 0.1, 200),  # far in the upper tail
+        ((0.3, 1.5), 2.0, 2),  # a variance window that reaches 0
+    ],
+)
+def test_window_probabilities_equal_scipy(atom, epsilon, n):
+    # Each probability to 1e-9 of itself, in the tails too: scipy's
+    # reference takes the difference of the two tail values nearer 0.
+    (m, v), (target_mean, target_var) = atom, (0.0, 1.0)
+    p_mean, p_var = _window_probabilities(MixingLaw.point(m, v), (target_mean, target_var), epsilon, n)
+    for law, lo, hi, value in [
+        (stats.norm(m, math.sqrt(v / n)), target_mean - epsilon, target_mean + epsilon, p_mean[0]),
+        (stats.chi2(n - 1, scale=v / n), max(target_var - epsilon, 0.0), target_var + epsilon, p_var[0]),
+    ]:
+        expected = law.cdf(hi) - law.cdf(lo) if law.cdf(hi) < law.sf(lo) else law.sf(lo) - law.sf(hi)
+        assert 0 < expected and abs(value - expected) <= 1e-9 * expected
 
 
 @pytest.mark.parametrize(
