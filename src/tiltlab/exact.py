@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .tilting import LATTICE_TOL, InfeasibleConstraintError, MomentConstraint, i
 __all__ = [
     "ConditionalWeights",
     "ConvergenceRecord",
+    "TvCheck",
     "enumerate_types",
     "type_log_prob",
     "sanov_bounds_check",
@@ -102,8 +103,7 @@ class ConditionalWeights:
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class TvCheck:
+class TvCheck(NamedTuple):
     """Outcome of a total-variation bound check."""
 
     passed: bool
@@ -111,8 +111,7 @@ class TvCheck:
     bound: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """One grid point of an exact convergence sweep.
 
     ``tv`` is the exact distance between the conditional block law and the
@@ -505,8 +504,7 @@ def convergence_sweep(
     return records
 
 
-@dataclass(frozen=True)
-class EntropyConcentrationReport:
+class EntropyConcentrationReport(NamedTuple):
     """Monte Carlo coverage of an entropy interval for multinomial types.
 
     ``delta_h`` is the divergence of the sampled frequency vector from the
@@ -515,10 +513,6 @@ class EntropyConcentrationReport:
     approximately chi-squared with k-1 degrees of freedom for large N.
     """
 
-    n_per_sample: int
-    samples: int
-    seed: int
-    interval: tuple[float, float]
     coverage: float
     q95: float
 
@@ -549,10 +543,6 @@ def entropy_concentration(
     lo, hi = interval
     coverage = float(((entropies >= lo) & (entropies <= hi)).mean())
     return EntropyConcentrationReport(
-        n_per_sample=n_per_sample,
-        samples=samples,
-        seed=seed,
-        interval=(float(lo), float(hi)),
         coverage=coverage,
         q95=float(np.quantile(2.0 * n_per_sample * delta_h, 0.95)),
     )

@@ -100,8 +100,7 @@ class WindowSchedule:
         return self.amplitude * n ** (-self.exponent)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Least-squares fit of ln(tv) against ln(n)."""
 
     slope: float

@@ -4,7 +4,7 @@ Configurations round-trip losslessly through JSON (``parse(serialize(c))``
 equals ``c``), reports validate against the schema shipped in
 ``schemas/report.schema.json``, and serialized output is byte-identical
 across runs of the same configuration and seed.  Wall-clock time is kept
-out of the serialized artifact for that reason; runners print it to the
+out of the serialized artifact for that reason; the CLI prints it to the
 console instead.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import __version__
 from .montecarlo import METHODS
@@ -198,8 +199,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One pass/fail verdict; ``invariant`` names the module property it
     instantiates and ``margin`` is the slack by which it holds (>= 0 passes)."""
 
@@ -210,52 +210,19 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class Report:
-    """A full experiment result: config echo, tables, checks.
+class Report(NamedTuple):
+    """A full experiment result: config echo, tables, checks.  The
+    experiment is ``config.experiment``."""
 
-    ``wall_clock`` is carried for console display but never serialized, so
-    repeated runs of the same config and seed produce byte-identical files.
-    """
-
-    experiment: str
     config: ExperimentConfig
     tables: dict[str, Table]
     checks: tuple[CheckResult, ...]
     primary_table: str
-    wall_clock: float = 0.0
-    version: str = __version__
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "experiment": self.experiment,
-            "config": config_to_dict(self.config),
-            "tables": {
-                name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-                for name, t in self.tables.items()
-            },
-            "checks": [
-                {
-                    "name": c.name,
-                    "invariant": c.invariant,
-                    "passed": c.passed,
-                    "margin": c.margin,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def _format_cell(value) -> object:
@@ -276,7 +243,17 @@ def render_csv(table: Table) -> str:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    raw = {
+        "version": __version__,
+        "experiment": report.config.experiment,
+        "config": config_to_dict(report.config),
+        "tables": {
+            name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
+            for name, t in report.tables.items()
+        },
+        "checks": [c._asdict() for c in report.checks],
+    }
+    return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
 
 def _schema() -> dict:

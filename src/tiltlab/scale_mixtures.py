@@ -118,9 +118,8 @@ def empirical_limits(values: np.ndarray) -> tuple[float, float]:
 
 class CfCheckReport(NamedTuple):
     """Empirical vs closed-form characteristic function on a t-grid.  As a
-    NamedTuple it unpacks as (t_grid, empirical, exact, max_deviation)."""
+    NamedTuple it unpacks as (empirical, exact, max_deviation)."""
 
-    t_grid: tuple[float, ...]
     empirical: tuple[float, ...]
     exact: tuple[float, ...]
     max_deviation: float
@@ -146,7 +145,6 @@ def radial_cf_check(
     exact = [g.cf_real(t) for t in t_grid]
     deviations = [abs(a - b) for a, b in zip(empirical, exact)]
     return CfCheckReport(
-        t_grid=tuple(float(t) for t in t_grid),
         empirical=tuple(empirical),
         exact=tuple(exact),
         max_deviation=max(deviations),
@@ -161,13 +159,9 @@ class TwoMomentReport(NamedTuple):
     with the target moments.  As a NamedTuple it unpacks in field order.
     """
 
-    epsilon: float
-    n: int
-    samples: int
     accepted: int
     pooled: int
     ks_statistic: float
-    seed: int
 
 
 # Cephes ndtr.c's fits for erf and erfc, highest degree first; a leading 1.0 makes polevl act as p1evl.
@@ -416,11 +410,7 @@ def condition_two_moments(
     pooled = blocks.ravel()
     ks = _ks_normal(pooled, target_mean, math.sqrt(target_var))
     return TwoMomentReport(
-        epsilon=float(epsilon),
-        n=n,
-        samples=samples,
         accepted=accepted,
         pooled=int(pooled.size),
         ks_statistic=float(ks),
-        seed=seed,
     )

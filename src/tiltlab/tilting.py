@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,8 +195,7 @@ class MomentConstraint:
         return self.holds(np.stack(means, axis=1))
 
 
-@dataclass(frozen=True)
-class TiltSolution:
+class TiltSolution(NamedTuple):
     """Result of an I-projection / moment solve.
 
     ``status`` is "interior" (the baseline already meets the constraint,

@@ -376,7 +376,7 @@ def test_criterion_8_conditioning_over_seeds_0_to_99():
         )
         for seed in range(100)
     ]
-    failing = [r.seed for r in reports if not (r.ks_statistic < 0.05 and r.accepted >= 2000)]
+    failing = [seed for seed, r in enumerate(reports) if not (r.ks_statistic < 0.05 and r.accepted >= 2000)]
     worst_ks = max(r.ks_statistic for r in reports)
     fewest = min(r.accepted for r in reports)
     emit(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -162,7 +163,6 @@ def test_csv_uses_twelve_significant_digits():
 
 def test_report_json_validates_against_schema():
     report = Report(
-        experiment="dice",
         config=default_config("dice"),
         tables={"t": Table(columns=("x",), rows=((1.0,),))},
         checks=(CheckResult(name="c", invariant="i", passed=True, margin=0.5),),
@@ -363,6 +363,18 @@ def test_exit_1_when_a_check_fails(tmp_path):
     assert code == 1
     raw = json.loads(out.read_text())
     assert not all(c["passed"] for c in raw["checks"])
+
+
+@pytest.mark.parametrize("argv, code", [(["dice"], 0), (["gsm", "--samples", "1000"], 1)])
+def test_wall_clock_is_one_line_after_the_checks(argv, code, capsys, tmp_path):
+    # The CLI times the run itself: one line per check, then one wall-clock line.
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    checks = json.loads(out.read_text())["checks"]
+    assert len(lines) == len(checks) + 1
+    assert [line[:6] for line in lines[:-1]] == ["PASS  " if c["passed"] else "FAIL  " for c in checks]
+    assert re.fullmatch(r"wall-clock: \d+\.\d\ds", lines[-1])
 
 
 def test_solver_failure_exits_3_on_one_line(capsys, tmp_path, monkeypatch):

@@ -7,13 +7,18 @@ benchmark's correctness gate or in the acceptance tests.  The package
 ``__init__`` only re-exports, so it counts as no caller, and neither do the
 unit tests, which would keep alive a name that only they reach.
 
-The same holds for the dataclass fields, properties, methods and
-classmethods of each public class: one of those files must read the
-member's name as an attribute.  A keyword argument in a constructor call
-sets a field and does not read it, so it does not count.
+The same holds for the fields, properties, methods and classmethods of
+each public class: one of those files must read the member's name as an
+attribute.  A keyword argument in a constructor call sets a field and does
+not read it, so it does not count.
+
+Every class of the library follows one record rule: it is an exception, a
+``NamedTuple``, or a frozen dataclass that validates its input in
+``__post_init__``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +90,30 @@ def test_every_public_class_member_has_a_caller():
     uncalled = [m for m in members if m.rpartition(".")[2] not in used and m not in EXEMPT_MEMBERS]
     assert members and not uncalled, f"public class members with no caller: {uncalled}"
     assert EXEMPT_MEMBERS <= set(members), f"exempt members that no longer exist: {EXEMPT_MEMBERS - set(members)}"
+
+
+def keeps_record_rule(node: ast.ClassDef) -> bool:
+    """Is the class an exception, a NamedTuple, or a frozen dataclass that
+    defines ``__post_init__``?"""
+    for base in node.bases:
+        name = getattr(base, "id", None) or getattr(base, "attr", "")
+        builtin = getattr(builtins, name, None)
+        if name == "NamedTuple" or (isinstance(builtin, type) and issubclass(builtin, BaseException)):
+            return True
+    frozen = any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+    return frozen and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+
+
+def test_every_class_keeps_the_record_rule():
+    classes = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and not keeps_record_rule(node)
+    ]
+    assert not classes, f"classes that are no exception, NamedTuple or validated frozen dataclass: {classes}"
